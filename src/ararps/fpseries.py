@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "FracSeries",
     "series_caputo",
     "series_mul",
+    "mul_coeff",
     "series_pow",
     "series_spatial_diff",
     "series_eval",
@@ -128,60 +130,68 @@ def series_rl_integral(s: FracSeries) -> FracSeries:
     return FracSeries(s.alpha, (HypExpr.zero(),) + s.coeffs)
 
 
+def mul_coeff(alpha: float, a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) -> HypExpr:
+    """Coefficient n of the Cauchy product of the coefficient lists a and b.
+
+    Reads only a[0..n] and b[0..n], so a caller can extend both lists one
+    coefficient at a time (the online product).
+    """
+    half = np.longdouble(0.5)
+    # bucket raw basis contributions and accumulate each in longdouble
+    buckets: list[tuple[Kind, float, list[np.longdouble]]] = []
+
+    def _push(kind: Kind, freq: float, val: np.longdouble) -> None:
+        if freq < 0.0:
+            freq = -freq
+            if kind is Kind.SINH:
+                val = -val
+        if freq < 1e-12 and kind is Kind.SINH:
+            return
+        if freq < 1e-12:
+            kind, freq = Kind.CONST, 0.0
+        for bk, bf, vals in buckets:
+            if bk is kind and abs(bf - freq) < 1e-12:
+                vals.append(val)
+                return
+        buckets.append((kind, freq, [val]))
+
+    for m in range(n + 1):
+        w = _conv_weight_ld(alpha, m, n - m)
+        for k1, f1, c1 in a[m].terms:
+            wc1 = w * np.longdouble(c1)
+            for k2, f2, c2 in b[n - m].terms:
+                c = wc1 * np.longdouble(c2)
+                if k1 is Kind.CONST:
+                    _push(k2, f2, c)
+                elif k2 is Kind.CONST:
+                    _push(k1, f1, c)
+                elif k1 is Kind.COSH and k2 is Kind.COSH:
+                    _push(Kind.COSH, f1 + f2, half * c)
+                    _push(Kind.COSH, f1 - f2, half * c)
+                elif k1 is Kind.SINH and k2 is Kind.SINH:
+                    _push(Kind.COSH, f1 + f2, half * c)
+                    _push(Kind.COSH, f1 - f2, -half * c)
+                elif k1 is Kind.SINH:
+                    _push(Kind.SINH, f1 + f2, half * c)
+                    _push(Kind.SINH, f1 - f2, half * c)
+                else:
+                    _push(Kind.SINH, f2 + f1, half * c)
+                    _push(Kind.SINH, f2 - f1, half * c)
+    raw = [
+        (kind, freq, float(np.sum(np.array(vals, dtype=np.longdouble))))
+        for kind, freq, vals in buckets
+    ]
+    return HypExpr(_canonical(raw))
+
+
 def series_mul(s1: FracSeries, s2: FracSeries) -> FracSeries:
     """Cauchy product in the t^alpha monomial basis, truncated to min order."""
     _check_alpha(s1, s2)
     k = min(s1.order, s2.order)
-    alpha = s1.alpha
-    half = np.longdouble(0.5)
-    out: list[HypExpr] = []
-    for n in range(k + 1):
-        # bucket raw basis contributions and accumulate each in longdouble
-        buckets: list[tuple[Kind, float, list[np.longdouble]]] = []
-
-        def _push(kind: Kind, freq: float, val: np.longdouble) -> None:
-            if freq < 0.0:
-                freq = -freq
-                if kind is Kind.SINH:
-                    val = -val
-            if freq < 1e-12 and kind is Kind.SINH:
-                return
-            if freq < 1e-12:
-                kind, freq = Kind.CONST, 0.0
-            for bk, bf, vals in buckets:
-                if bk is kind and abs(bf - freq) < 1e-12:
-                    vals.append(val)
-                    return
-            buckets.append((kind, freq, [val]))
-
-        for m in range(n + 1):
-            w = _conv_weight_ld(alpha, m, n - m)
-            for k1, f1, c1 in s1.coeffs[m].terms:
-                wc1 = w * np.longdouble(c1)
-                for k2, f2, c2 in s2.coeffs[n - m].terms:
-                    c = wc1 * np.longdouble(c2)
-                    if k1 is Kind.CONST:
-                        _push(k2, f2, c)
-                    elif k2 is Kind.CONST:
-                        _push(k1, f1, c)
-                    elif k1 is Kind.COSH and k2 is Kind.COSH:
-                        _push(Kind.COSH, f1 + f2, half * c)
-                        _push(Kind.COSH, f1 - f2, half * c)
-                    elif k1 is Kind.SINH and k2 is Kind.SINH:
-                        _push(Kind.COSH, f1 + f2, half * c)
-                        _push(Kind.COSH, f1 - f2, -half * c)
-                    elif k1 is Kind.SINH:
-                        _push(Kind.SINH, f1 + f2, half * c)
-                        _push(Kind.SINH, f1 - f2, half * c)
-                    else:
-                        _push(Kind.SINH, f2 + f1, half * c)
-                        _push(Kind.SINH, f2 - f1, half * c)
-        raw = [
-            (kind, freq, float(np.sum(np.array(vals, dtype=np.longdouble))))
-            for kind, freq, vals in buckets
-        ]
-        out.append(HypExpr(_canonical(raw)))
-    return FracSeries(alpha, tuple(out))
+    return FracSeries(
+        s1.alpha,
+        tuple(mul_coeff(s1.alpha, s1.coeffs, s2.coeffs, n) for n in range(k + 1)),
+    )
 
 
 def series_pow(s: FracSeries, p: int) -> FracSeries:

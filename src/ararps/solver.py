@@ -2,28 +2,29 @@
 
 The engine runs the t-space coefficient recursion
 
-    c_{n+k} = [coefficient n of N_x applied to the series truncated at n]
+    c_{n+k} = [coefficient n of N_x applied to c_0..c_n]
 
 which is what the transform-space limit extraction lim s^{k*alpha+1} G2 Res_k = 0
-isolates order by order.  ``residual_check`` rebuilds the transform-space
-residual coefficients from the finished series as the verification path.
+isolates order by order.  Coefficient n of every operator node depends only
+on c_0..c_n, so ``solve`` runs the recursion in one pass: each AST node
+caches the coefficients it has computed, and order n computes only
+coefficient n of each node from its children's caches (the online, or
+"relaxed", Cauchy product; van der Hoeven, JSC 2002).  ``apply_operator``
+runs the same engine on a given series.
+
+``residual_check`` rebuilds the transform-space residual coefficients from a
+finished series.  It is an opt-in verification API and is not called by
+``solve``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Union
+from dataclasses import dataclass
+from typing import Any, Sequence, Union
 
-from .ara import to_ara
-from .fpseries import (
-    FracSeries,
-    series_eval,
-    series_mul,
-    series_pow,
-    series_spatial_diff,
-)
+from .fpseries import FracSeries, mul_coeff
 from .hypalg import HypExpr, Kind
 from .special import frac_cosh_series, frac_sinh_series, tpow
 
@@ -103,26 +104,61 @@ class Dx:
 OperatorAst = Union[Solution, Const, Add, Scale, Mul, PowInt, Dx]
 
 
+class _CoeffCache:
+    """Coefficients of every node of one operator AST, filled on demand.
+
+    ``y`` is the list of solution coefficients; the caller may append to it
+    between requests.  Caches are keyed by node identity, so a node object
+    that occurs twice in the AST is evaluated once.
+    """
+
+    def __init__(self, alpha: float, y: Sequence[HypExpr]) -> None:
+        self.alpha = alpha
+        self.y = y
+        self._coeffs: dict[int, list[HypExpr]] = {}
+        self._powers: dict[int, list[list[HypExpr]]] = {}
+
+    def upto(self, node: OperatorAst, n: int) -> Sequence[HypExpr]:
+        """The node's coefficients 0..n (possibly more)."""
+        if isinstance(node, Solution):
+            return self.y
+        out = self._coeffs.setdefault(id(node), [])
+        while len(out) <= n:
+            out.append(self._next(node, len(out)))
+        return out
+
+    def _next(self, node: OperatorAst, n: int) -> HypExpr:
+        if isinstance(node, Const):
+            return HypExpr.const(node.value) if n == 0 else HypExpr.zero()
+        if isinstance(node, Add):
+            acc = self.upto(node.terms[0], n)[n]
+            for term in node.terms[1:]:
+                acc = acc + self.upto(term, n)[n]
+            return acc
+        if isinstance(node, Scale):
+            return self.upto(node.child, n)[n].scale(node.factor)
+        if isinstance(node, Mul):
+            return mul_coeff(self.alpha, self.upto(node.left, n), self.upto(node.right, n), n)
+        if isinstance(node, PowInt):
+            # powers 2..exponent-1, extended in lockstep with the node itself;
+            # the same left-to-right products as series_pow
+            base = self.upto(node.child, n)
+            powers = self._powers.setdefault(id(node), [[] for _ in range(node.exponent - 2)])
+            acc: Sequence[HypExpr] = base
+            for pw in powers:
+                pw.append(mul_coeff(self.alpha, acc, base, n))
+                acc = pw
+            return mul_coeff(self.alpha, acc, base, n)
+        if isinstance(node, Dx):
+            return self.upto(node.child, n)[n].diff(node.order)
+        raise ValueError(f"ill-formed operator AST node: {node!r}")
+
+
 def apply_operator(node: OperatorAst, y: FracSeries) -> FracSeries:
     """Evaluate the spatial operator on a truncated series."""
     if isinstance(node, Solution):
         return y
-    if isinstance(node, Const):
-        return FracSeries.constant(y.alpha, node.value, y.order)
-    if isinstance(node, Add):
-        acc = apply_operator(node.terms[0], y)
-        for term in node.terms[1:]:
-            acc = acc + apply_operator(term, y)
-        return acc
-    if isinstance(node, Scale):
-        return apply_operator(node.child, y).scale(node.factor)
-    if isinstance(node, Mul):
-        return series_mul(apply_operator(node.left, y), apply_operator(node.right, y))
-    if isinstance(node, PowInt):
-        return series_pow(apply_operator(node.child, y), node.exponent)
-    if isinstance(node, Dx):
-        return series_spatial_diff(apply_operator(node.child, y), node.order)
-    raise ValueError(f"ill-formed operator AST node: {node!r}")
+    return FracSeries(y.alpha, tuple(_CoeffCache(y.alpha, y.coeffs).upto(node, y.order)))
 
 
 # --------------------------------------------------------------------------
@@ -167,7 +203,6 @@ class ExampleParams:
 @dataclass(frozen=True)
 class SolveResult:
     series: FracSeries
-    residual_leading: tuple[float, ...] = field(default=())
 
     @property
     def order(self) -> int:
@@ -186,16 +221,10 @@ def solve(spec: PdeSpec, K: int = 6) -> SolveResult:
     coeffs: list[HypExpr] = [spec.ic_a]
     if k == 2:
         coeffs.append(spec.ic_b)  # type: ignore[arg-type]
+    rhs = _CoeffCache(spec.alpha, coeffs)
     for n in range(K - k + 1):
-        trunc = FracSeries(spec.alpha, tuple(coeffs[: n + 1]))
-        rhs_series = apply_operator(spec.rhs, trunc)
-        coeffs.append(rhs_series.coeffs[n])
-    series = FracSeries(spec.alpha, tuple(coeffs))
-    result = SolveResult(series)
-    residuals = tuple(
-        residual_check(spec, result, n).max_abs_coeff() for n in range(K + 1)
-    )
-    return SolveResult(series, residuals)
+        coeffs.append(rhs.upto(spec.rhs, n)[n])
+    return SolveResult(FracSeries(spec.alpha, tuple(coeffs)))
 
 
 def residual_check(spec: PdeSpec, result: SolveResult, n: int) -> HypExpr:
@@ -219,7 +248,8 @@ def residual_check(spec: PdeSpec, result: SolveResult, n: int) -> HypExpr:
     if n < k:
         # only k = 2, n = 1: (1 - alpha) * (c_1 - b)
         return (c[1] - spec.ic_b).scale(1.0 - alpha)  # type: ignore[operator]
-    rhs_series = apply_operator(spec.rhs, series)
+    # coefficient n-k of the right-hand side depends only on c_0..c_{n-k}
+    rhs_series = apply_operator(spec.rhs, series.truncate(n - k))
     q = (n - k) * alpha + 1.0
     return (c[n] - rhs_series.coeffs[n - k]).scale(q)
 

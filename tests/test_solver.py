@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from ararps.fpseries import FracSeries, series_eval
+import ararps.solver
+from ararps.fpseries import (
+    FracSeries,
+    series_eval,
+    series_mul,
+    series_pow,
+    series_spatial_diff,
+)
 from ararps.hypalg import HypExpr, Kind
 from ararps.solver import (
     Add,
@@ -69,6 +76,82 @@ class TestAst:
             PowInt(1, Solution())
         with pytest.raises(ValueError):
             Dx(0, Solution())
+
+
+def _apply_reference(node, y: FracSeries) -> FracSeries:
+    """Reference: whole-series evaluation of the operator from the series primitives."""
+    if isinstance(node, Solution):
+        return y
+    if isinstance(node, Const):
+        return FracSeries.constant(y.alpha, node.value, y.order)
+    if isinstance(node, Add):
+        acc = _apply_reference(node.terms[0], y)
+        for term in node.terms[1:]:
+            acc = acc + _apply_reference(term, y)
+        return acc
+    if isinstance(node, Scale):
+        return _apply_reference(node.child, y).scale(node.factor)
+    if isinstance(node, Mul):
+        return series_mul(_apply_reference(node.left, y), _apply_reference(node.right, y))
+    if isinstance(node, PowInt):
+        return series_pow(_apply_reference(node.child, y), node.exponent)
+    if isinstance(node, Dx):
+        return series_spatial_diff(_apply_reference(node.child, y), node.order)
+    raise ValueError(f"ill-formed operator AST node: {node!r}")
+
+
+def _generic_spec(rhs=None) -> PdeSpec:
+    """D^0.7 y = (y^2)_xx + y*y_x - 0.5*y^3 with three IC frequencies."""
+    y = Solution()
+    if rhs is None:
+        rhs = Add((Dx(2, PowInt(2, y)), Mul(y, Dx(1, y)), Scale(-0.5, PowInt(3, y))))
+    ic = HypExpr.cosh(0.4, 0.5) + HypExpr.sinh(0.8, -0.45) + HypExpr.sinh(1.2, 0.55)
+    return PdeSpec(1, 0.7, rhs, ic)
+
+
+def _shared_pow_spec() -> PdeSpec:
+    # one PowInt object in two Add terms, and a Const under a Mul
+    y = Solution()
+    cube = PowInt(3, y)
+    rhs = Add((Dx(1, cube), Scale(-0.25, cube), Mul(Const(0.5), Dx(2, y))))
+    return _generic_spec(rhs)
+
+
+ENGINE_SPECS = [
+    pytest.param(with_alpha(builtin_example(ex), a), 6, id=f"ex{ex}-alpha{a}")
+    for ex in (1, 2, 3, 4)
+    for a in ALPHAS
+] + [
+    pytest.param(_generic_spec(), 5, id="generic"),
+    pytest.param(_shared_pow_spec(), 5, id="shared-pow"),
+]
+
+
+class TestOnePassEngine:
+    @pytest.mark.parametrize("spec,K", ENGINE_SPECS)
+    def test_matches_whole_series_recursion(self, spec, K):
+        # bit-identical to re-applying the right-hand side at every order
+        coeffs = solve(spec, K).series.coeffs
+        k = spec.time_order
+        for n in range(K - k + 1):
+            trunc = FracSeries(spec.alpha, coeffs[: n + 1])
+            assert coeffs[n + k] == _apply_reference(spec.rhs, trunc).coeffs[n]
+
+    @pytest.mark.parametrize("spec,K", ENGINE_SPECS)
+    def test_apply_operator_matches_reference(self, spec, K):
+        series = solve(spec, K).series
+        assert apply_operator(spec.rhs, series) == _apply_reference(spec.rhs, series)
+
+    @pytest.mark.parametrize(
+        "spec,K", [(builtin_example(1), 24), (_generic_spec(), 5)], ids=["ex1", "generic"]
+    )
+    def test_solve_skips_residual_and_whole_series_paths(self, spec, K, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the solve hot path")
+
+        monkeypatch.setattr(ararps.solver, "residual_check", forbidden)
+        monkeypatch.setattr(ararps.solver, "apply_operator", forbidden)
+        assert solve(spec, K).order == K
 
 
 class TestSpecValidation:
