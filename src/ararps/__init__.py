@@ -15,7 +15,6 @@ from .ara import (
     verify_property,
 )
 from .bench import (
-    RunConfig,
     TableRow,
     emit_csv,
     emit_surface,
@@ -55,6 +54,6 @@ from .solver import (
     solve,
     with_alpha,
 )
-from .special import GammaRatio, frac_cosh_series, frac_sinh_series, gamma, gamma_ratio
+from .special import frac_cosh_series, frac_sinh_series, gamma, gamma_ratio
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +34,6 @@ from .solver import (
 
 __all__ = [
     "TableRow",
-    "RunConfig",
     "REFERENCE_X",
     "REFERENCE_T",
     "DEFAULT_TABLE_ORDER",
@@ -66,23 +65,6 @@ class TableRow:
     @property
     def abs_error(self) -> float:
         return abs(self.exact - self.numeric)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    example_id: int
-    alphas: tuple[float, ...] = (1.0,)
-    order: int = 6
-    x_values: tuple[float, ...] = REFERENCE_X
-    t_values: tuple[float, ...] = REFERENCE_T
-    params: ExampleParams = field(default_factory=ExampleParams)
-    out_dir: Path = Path(".")
-
-    def __post_init__(self) -> None:
-        if not self.x_values or not self.t_values:
-            raise ValueError("grid must be non-empty")
-        if not self.alphas:
-            raise ValueError("at least one alpha required")
 
 
 def make_table(
@@ -230,7 +212,7 @@ def cli() -> None:
 
 
 @cli.command("solve")
-@click.option("--example", "example_id", type=int, default=None,
+@click.option("--example", "example_id", type=click.IntRange(1, 4), default=None,
               help="Built-in example id (1-4).")
 @click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
               help="JSON problem specification file.")
@@ -247,8 +229,6 @@ def cmd_solve(example_id, spec_path, alpha, K, points, gamma, v, w, lam):
     if (example_id is None) == (spec_path is None):
         raise click.UsageError("provide exactly one of --example or --spec")
     if example_id is not None:
-        if example_id not in (1, 2, 3, 4):
-            raise click.UsageError("--example must be 1, 2, 3 or 4")
         params = ExampleParams(v=v, w=w, lam=lam, gamma=gamma)
         spec = with_alpha(builtin_example(example_id, params), alpha)
     else:
@@ -267,7 +247,7 @@ def cmd_solve(example_id, spec_path, alpha, K, points, gamma, v, w, lam):
 
 
 @cli.command("table")
-@click.option("--example", "example_id", type=int, required=True)
+@click.option("--example", "example_id", type=click.IntRange(1, 4), required=True)
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--order", "K", type=int, default=None,
               help="Truncation order (defaults per example).")
@@ -280,8 +260,6 @@ def cmd_solve(example_id, spec_path, alpha, K, points, gamma, v, w, lam):
 @click.option("--out-dir", type=click.Path(), default=None)
 def cmd_table(example_id, alpha, K, gamma, v, w, lam, out_path, out_dir):
     """Regenerate a benchmark error table as CSV."""
-    if example_id not in (1, 2, 3, 4):
-        raise click.UsageError("--example must be 1, 2, 3 or 4")
     params = ExampleParams(v=v, w=w, lam=lam, gamma=gamma)
     rows = make_table(example_id, params, alpha, K)
     if out_path is None:
@@ -320,7 +298,7 @@ def cmd_validate():
 
 
 @cli.command("surface")
-@click.option("--example", "example_id", type=int, required=True)
+@click.option("--example", "example_id", type=click.IntRange(1, 4), required=True)
 @click.option("--alpha", "alphas", type=float, multiple=True,
               default=(0.25, 0.5, 0.75, 1.0), show_default=True)
 @click.option("--order", "K", type=int, default=24, show_default=True)
@@ -328,8 +306,6 @@ def cmd_validate():
 @click.option("--out-dir", type=click.Path(), default=None)
 def cmd_surface(example_id, alphas, K, gamma, out_dir):
     """Emit `x t y` surface data files (one per alpha, plus exact)."""
-    if example_id not in (1, 2, 3, 4):
-        raise click.UsageError("--example must be 1, 2, 3 or 4")
     params = ExampleParams(gamma=gamma)
     paths = emit_surface(example_id, params, alphas, K, out_dir=_out_dir(out_dir))
     for p in paths:

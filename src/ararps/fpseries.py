@@ -11,8 +11,10 @@ and matches the transform-space coefficients h_n = (n*alpha + 1) c_n.
 
 Products use the convolution weights Gamma(n*alpha+1) / (Gamma(m*alpha+1)
 Gamma(j*alpha+1)); the weights are correctly rounded (computed once in
-extended precision and cached) and each output coefficient is accumulated
-in 80-bit arithmetic so that deep solver recursions stay at a few ulp.
+extended precision and cached).  Each output coefficient goes through the
+product-to-sum table of ``hypalg`` with the weight as a longdouble, so the
+contributions and their per-frequency sums are accumulated in 80-bit
+arithmetic and deep solver recursions stay at a few ulp.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import mpmath
 import numpy as np
 
-from .hypalg import HypExpr, Kind, _canonical
+from .hypalg import HypExpr, _canonical, _product_terms
 from .special import gamma, tpow
 
 __all__ = [
@@ -130,58 +133,21 @@ def series_rl_integral(s: FracSeries) -> FracSeries:
     return FracSeries(s.alpha, (HypExpr.zero(),) + s.coeffs)
 
 
+def _ld_total(vals: list) -> float:
+    return float(np.sum(np.array(vals, dtype=np.longdouble)))
+
+
 def mul_coeff(alpha: float, a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) -> HypExpr:
     """Coefficient n of the Cauchy product of the coefficient lists a and b.
 
     Reads only a[0..n] and b[0..n], so a caller can extend both lists one
     coefficient at a time (the online product).
     """
-    half = np.longdouble(0.5)
-    # bucket raw basis contributions and accumulate each in longdouble
-    buckets: list[tuple[Kind, float, list[np.longdouble]]] = []
-
-    def _push(kind: Kind, freq: float, val: np.longdouble) -> None:
-        if freq < 0.0:
-            freq = -freq
-            if kind is Kind.SINH:
-                val = -val
-        if freq < 1e-12 and kind is Kind.SINH:
-            return
-        if freq < 1e-12:
-            kind, freq = Kind.CONST, 0.0
-        for bk, bf, vals in buckets:
-            if bk is kind and abs(bf - freq) < 1e-12:
-                vals.append(val)
-                return
-        buckets.append((kind, freq, [val]))
-
-    for m in range(n + 1):
-        w = _conv_weight_ld(alpha, m, n - m)
-        for k1, f1, c1 in a[m].terms:
-            wc1 = w * np.longdouble(c1)
-            for k2, f2, c2 in b[n - m].terms:
-                c = wc1 * np.longdouble(c2)
-                if k1 is Kind.CONST:
-                    _push(k2, f2, c)
-                elif k2 is Kind.CONST:
-                    _push(k1, f1, c)
-                elif k1 is Kind.COSH and k2 is Kind.COSH:
-                    _push(Kind.COSH, f1 + f2, half * c)
-                    _push(Kind.COSH, f1 - f2, half * c)
-                elif k1 is Kind.SINH and k2 is Kind.SINH:
-                    _push(Kind.COSH, f1 + f2, half * c)
-                    _push(Kind.COSH, f1 - f2, -half * c)
-                elif k1 is Kind.SINH:
-                    _push(Kind.SINH, f1 + f2, half * c)
-                    _push(Kind.SINH, f1 - f2, half * c)
-                else:
-                    _push(Kind.SINH, f2 + f1, half * c)
-                    _push(Kind.SINH, f2 - f1, half * c)
-    raw = [
-        (kind, freq, float(np.sum(np.array(vals, dtype=np.longdouble))))
-        for kind, freq, vals in buckets
-    ]
-    return HypExpr(_canonical(raw))
+    raw = chain.from_iterable(
+        _product_terms(a[m].terms, b[n - m].terms, _conv_weight_ld(alpha, m, n - m))
+        for m in range(n + 1)
+    )
+    return HypExpr(_canonical(raw, _ld_total))
 
 
 def series_mul(s1: FracSeries, s2: FracSeries) -> FracSeries:

@@ -4,8 +4,9 @@ Every spatial coefficient produced by the solver lives in this basis, so
 addition, multiplication (via product-to-sum identities), differentiation
 and pointwise evaluation are exact up to floating-point rounding.
 Expressions are kept in a canonical form: terms sorted by (kind, frequency),
-frequencies within 1e-12 merged, and coefficients below 1e-15 of the largest
-one pruned as cancellation residue.
+frequencies within 1e-12 merged, and terms whose coefficients sum to exactly
+zero dropped.  Nothing else is pruned.  ``_product_terms`` and ``_canonical``
+are the one product-to-sum kernel; ``fpseries`` products use them too.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-__all__ = ["Kind", "HypExpr", "hyp_add", "hyp_mul", "hyp_diff", "hyp_eval"]
+__all__ = ["Kind", "HypExpr"]
 
 FREQ_MERGE_TOL = 1e-12
-PRUNE_REL = 1e-15
 
 
 class Kind(IntEnum):
@@ -27,9 +27,19 @@ class Kind(IntEnum):
     SINH = 2
 
 
-def _canonical(raw: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, float, float], ...]:
-    """Fold signs, merge near-equal frequencies, prune residue, sort."""
-    buckets: list[tuple[Kind, float, list[float]]] = []
+def _canonical(
+    raw: Iterable[tuple[Kind, float, float]],
+    total: Callable[[list], float] = math.fsum,
+) -> tuple[tuple[Kind, float, float], ...]:
+    """Fold signs, merge near-equal frequencies, drop exact zeros, sort.
+
+    ``total`` turns the contributions of one (kind, frequency) bucket into a
+    float: ``math.fsum`` by default, a longdouble sum for series products.
+    Only terms that are exactly zero are dropped; there is no relative
+    pruning, because a small coefficient on a high frequency can still be
+    large pointwise.
+    """
+    buckets: list[tuple[Kind, float, list]] = []
     for kind, freq, coeff in raw:
         if coeff == 0.0:
             continue
@@ -50,11 +60,7 @@ def _canonical(raw: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, fl
                 break
         else:
             buckets.append((kind, freq, [coeff]))
-    merged = [(k, f, math.fsum(v)) for k, f, v in buckets]
-    if not merged:
-        return ()
-    cutoff = PRUNE_REL * max(abs(c) for _, _, c in merged)
-    kept = [(k, f, c) for k, f, c in merged if abs(c) > cutoff]
+    kept = [(k, f, c) for k, f, vals in buckets if (c := total(vals)) != 0.0]
     kept.sort(key=lambda t: (int(t[0]), t[1]))
     return tuple(kept)
 
@@ -166,6 +172,8 @@ def _product_terms(
 ) -> Iterator[tuple[Kind, float, float]]:
     """Raw product-to-sum expansion of (t1 * t2) scaled by ``weight``.
 
+    A ``np.longdouble`` weight makes every contribution a longdouble.
+
     cosh a cosh b = (cosh(a+b) + cosh(a-b))/2
     sinh a sinh b = (cosh(a+b) - cosh(a-b))/2
     sinh a cosh b = (sinh(a+b) + sinh(a-b))/2
@@ -189,19 +197,3 @@ def _product_terms(
             else:  # cosh * sinh
                 yield (Kind.SINH, f2 + f1, 0.5 * c)
                 yield (Kind.SINH, f2 - f1, 0.5 * c)
-
-
-def hyp_add(e1: HypExpr, e2: HypExpr) -> HypExpr:
-    return e1 + e2
-
-
-def hyp_mul(e1: HypExpr, e2: HypExpr) -> HypExpr:
-    return e1 * e2
-
-
-def hyp_diff(e: HypExpr, m: int = 1) -> HypExpr:
-    return e.diff(m)
-
-
-def hyp_eval(e: HypExpr, x: float) -> float:
-    return e(x)

@@ -8,10 +8,8 @@ recurrences so that the classical (alpha = 1) tables are bit-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
-    "GammaRatio",
     "gamma",
     "gamma_ratio",
     "frac_cosh_series",
@@ -72,20 +70,6 @@ def gamma_ratio(p: float, q: float) -> float:
             acc *= p + i
         return 1.0 / acc
     return math.exp(math.lgamma(p) - math.lgamma(q))
-
-
-@dataclass(frozen=True)
-class GammaRatio:
-    """Gamma(numerator_arg)/Gamma(denominator_arg), evaluated on construction."""
-
-    numerator_arg: float
-    denominator_arg: float
-    value: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "value", gamma_ratio(self.numerator_arg, self.denominator_arg)
-        )
 
 
 def tpow(t: float, p: float) -> float:

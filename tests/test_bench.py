@@ -8,7 +8,6 @@ from ararps.bench import (
     DEFAULT_TABLE_ORDER,
     REFERENCE_T,
     REFERENCE_X,
-    RunConfig,
     TableRow,
     cli,
     emit_csv,
@@ -23,12 +22,6 @@ class TestTableRow:
     def test_abs_error_derived(self):
         r = TableRow(1.0, 0.5, 2.0, 2.5)
         assert r.abs_error == 0.5
-
-    def test_run_config_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(1, x_values=())
-        with pytest.raises(ValueError):
-            RunConfig(1, alphas=())
 
 
 class TestMakeTable:
@@ -114,6 +107,7 @@ class TestCli:
         assert self.runner.invoke(cli, ["solve"]).exit_code == 2
         assert self.runner.invoke(cli, ["solve", "--example", "9"]).exit_code == 2
         assert self.runner.invoke(cli, ["table", "--example", "0"]).exit_code == 2
+        assert self.runner.invoke(cli, ["surface", "--example", "5"]).exit_code == 2
 
     def test_solve_prints_coefficients_and_point(self):
         res = self.runner.invoke(

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ararps.hypalg import HypExpr, Kind, hyp_add, hyp_diff, hyp_eval, hyp_mul
+from ararps.hypalg import HypExpr, Kind
 
 
 def _coeffs(e: HypExpr) -> dict:
@@ -45,6 +45,13 @@ class TestCanonicalForm:
     def test_cancellation_residue_pruned(self):
         e = HypExpr.cosh(1.0, 1.0) + HypExpr.cosh(1.0, -1.0) + HypExpr.const(5.0)
         assert _coeffs(e) == {(Kind.CONST, 0.0): 5.0}
+
+    def test_small_coefficient_on_high_frequency_kept(self):
+        # 1e-6*cosh(18x) is about 2e9 at x=2: small relative to 1e18 only
+        # as a coefficient, not pointwise
+        e = HypExpr.const(1e18) + HypExpr.cosh(18.0, 1e-6)
+        assert len(e.terms) == 2
+        assert e(2.0) == math.fsum([1e18, 1e-6 * math.cosh(36.0)])
 
     def test_terms_sorted(self):
         e = HypExpr.sinh(1.0) + HypExpr.const(1.0) + HypExpr.cosh(2.0) + HypExpr.cosh(1.0)
@@ -133,10 +140,3 @@ class TestQueries:
         e = HypExpr.const(-2.0 / 3.0) + HypExpr.cosh(0.5, 2.0 / 3.0)
         assert e.render() == "-0.666667 + 0.666667*cosh(0.5*x)"
         assert HypExpr.cosh(1.0).render() == "1*cosh(x)"
-
-    def test_module_level_wrappers(self):
-        e1, e2 = HypExpr.cosh(1.0), HypExpr.sinh(1.0)
-        assert hyp_add(e1, e2) == e1 + e2
-        assert hyp_mul(e1, e2) == e1 * e2
-        assert hyp_diff(e1) == e1.diff()
-        assert hyp_eval(e1, 0.3) == e1(0.3)

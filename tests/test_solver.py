@@ -153,6 +153,16 @@ class TestOnePassEngine:
         monkeypatch.setattr(ararps.solver, "apply_operator", forbidden)
         assert solve(spec, K).order == K
 
+    def test_generic_spec_keeps_every_lattice_term(self):
+        # IC frequencies 0.4*{1, 2, 3}: c_n spans 12n+5 (kind, frequency)
+        # terms up to 1.2*(2n+1); a small coefficient on the top frequency
+        # is still large pointwise, so none of them may be dropped
+        coeffs = solve(_generic_spec(), 10).series.coeffs
+        for n, c in enumerate(coeffs[1:], start=1):
+            assert len(c.terms) == 12 * n + 5
+            top = 1.2 * (2 * n + 1)
+            assert any(abs(f - top) < 1e-12 for _, f, _ in c.terms)
+
 
 class TestSpecValidation:
     def test_time_order(self):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ararps.special import (
-    GammaRatio,
     frac_cosh_series,
     frac_sinh_series,
     gamma,
@@ -57,9 +56,6 @@ class TestGammaRatio:
         assert gamma_ratio(p, q) == pytest.approx(
             math.gamma(p) / math.gamma(q), rel=1e-12
         )
-
-    def test_dataclass_value(self):
-        assert GammaRatio(10.5, 8.5).value == 80.75
 
     def test_domain(self):
         with pytest.raises(ValueError):
