@@ -74,18 +74,18 @@ def from_ara(a: AraSeries) -> FracSeries:
     )
 
 
-def ara_numeric(
-    f: Callable[[float], float],
-    n: int,
-    s: float,
-    T: float | None = None,
-    tol: float = 1e-10,
-    max_panels: int = 300,
-) -> float:
+# absolute tolerance and panel limit of ara_numeric's quadrature
+_QUAD_TOL = 1e-10
+_QUAD_PANELS = 300
+# the two coefficients of verify_property's linearity check (property 1)
+_LIN_A, _LIN_B = 2.0, 3.0
+
+
+def ara_numeric(f: Callable[[float], float], n: int, s: float) -> float:
     """Adaptive quadrature of s * int_0^T t^(n-1) e^(-st) f(t) dt.
 
-    T defaults to a horizon where the exponential tail is negligible; a
-    warning is emitted when the estimated tail bound exceeds ``tol``.
+    T is a horizon where the exponential tail is negligible; a warning is
+    emitted when the estimated tail bound exceeds the quadrature tolerance.
     """
     if n not in (1, 2):
         raise ValueError("ara_numeric: transform order must be 1 or 2")
@@ -95,12 +95,11 @@ def ara_numeric(
     def integrand(t: float) -> float:
         return t ** (n - 1) * math.exp(-s * t) * f(t)
 
-    if T is None:
-        T = 60.0 / s
-        while abs(integrand(T)) > 1e-16 and T < 1400.0 / s:
-            T *= 1.5
+    T = 60.0 / s
+    while abs(integrand(T)) > 1e-16 and T < 1400.0 / s:
+        T *= 1.5
     tail = abs(integrand(T)) / s  # crude e^(-sT)-scale bound
-    if s * tail > tol:
+    if s * tail > _QUAD_TOL:
         warnings.warn(
             f"ara_numeric: tail bound {s * tail:.3e} at T={T:.3g} exceeds tol",
             stacklevel=2,
@@ -111,12 +110,12 @@ def ara_numeric(
             integrand,
             0.0,
             T,
-            epsabs=0.1 * tol,
+            epsabs=0.1 * _QUAD_TOL,
             epsrel=1e-11,
-            limit=max_panels,
+            limit=_QUAD_PANELS,
             points=[1.0 / s] if 1.0 / s < T else None,
         )
-    if err > 1e4 * tol * (1.0 + abs(val)):
+    if err > 1e4 * _QUAD_TOL * (1.0 + abs(val)):
         raise ConvergenceError(f"ara_numeric: error estimate {err:.3e} too large")
     return s * val
 
@@ -164,12 +163,9 @@ def verify_property(
     s_values: Sequence[float],
     alpha: float = 1.0,
     g: Callable[[float], float] | None = None,
-    a: float = 2.0,
-    b: float = 3.0,
     dalpha_f: Callable[[float], float] | None = None,
     d2alpha_f: Callable[[float], float] | None = None,
     dalpha_f0: float | None = None,
-    caputo_config: CaputoConfig | None = None,
 ) -> PropertyReport:
     """Numerically check one of the seven transform identities on ``f``.
 
@@ -179,7 +175,7 @@ def verify_property(
     Limit-type properties (2 and 7) extrapolate over the given s values,
     which must be geometrically spaced.
     """
-    cfg = caputo_config or CaputoConfig()
+    cfg = CaputoConfig()
     f0 = f(0.0)
     if dalpha_f is None:
         dalpha_f = lambda t: caputo_numeric(f, alpha, t, cfg)
@@ -189,8 +185,8 @@ def verify_property(
         if g is None:
             g = lambda t: f(t) ** 2
         for s in s_values:
-            combo = ara_numeric(lambda t: a * f(t) + b * g(t), 2, s)
-            parts = a * ara_numeric(f, 2, s) + b * ara_numeric(g, 2, s)
+            combo = ara_numeric(lambda t: _LIN_A * f(t) + _LIN_B * g(t), 2, s)
+            parts = _LIN_A * ara_numeric(f, 2, s) + _LIN_B * ara_numeric(g, 2, s)
             disc.append(abs(combo - parts))
     elif property_id == 2:
         vals = [ara_numeric(f, 1, s) for s in s_values]

@@ -232,7 +232,10 @@ def cmd_solve(example_id, spec_path, alpha, K, points, gamma, v, w, lam):
         params = ExampleParams(v=v, w=w, lam=lam, gamma=gamma)
         spec = with_alpha(builtin_example(example_id, params), alpha)
     else:
-        spec = pde_spec_from_json(Path(spec_path).read_text())
+        try:
+            spec = pde_spec_from_json(Path(spec_path).read_text())
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise click.UsageError(f"bad spec {spec_path}: {exc!r}")
         spec = with_alpha(spec, alpha)
     result = solve(spec, K)
     for n, c in enumerate(result.series.coeffs):

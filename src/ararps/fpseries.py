@@ -46,28 +46,25 @@ _ALPHA_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
-def _conv_weight_str(alpha: float, m: int, j: int) -> str:
-    with mpmath.workdps(40):
-        n = m + j
-        w = mpmath.gamma(n * alpha + 1) / (
-            mpmath.gamma(m * alpha + 1) * mpmath.gamma(j * alpha + 1)
-        )
-        return mpmath.nstr(w, 25)
+def _conv_weights(alpha: float, m: int, j: int) -> tuple[float, np.longdouble]:
+    """The weight rounded once to a double and once to a longdouble.
+
+    Both roundings come from the same exact value (an integer binomial, or
+    40 digits of mpmath), so the double is correctly rounded; rounding the
+    longdouble to a double instead would round twice.
+    """
+    if abs(alpha - round(alpha)) < _ALPHA_TOL:
+        w: int | str = math.comb(m + j, m)  # classical binomial, exact
+    else:
+        with mpmath.workdps(40):
+            g = lambda k: mpmath.gamma(k * alpha + 1)
+            w = mpmath.nstr(g(m + j) / (g(m) * g(j)), 25)
+    return float(w), np.longdouble(w)
 
 
-@lru_cache(maxsize=None)
 def conv_weight(alpha: float, m: int, j: int) -> float:
     """Gamma((m+j)a+1) / (Gamma(ma+1) Gamma(ja+1)), correctly rounded."""
-    if abs(alpha - round(alpha)) < _ALPHA_TOL:
-        return float(math.comb(m + j, m))  # classical binomial, exact
-    return float(_conv_weight_str(alpha, m, j))
-
-
-@lru_cache(maxsize=None)
-def _conv_weight_ld(alpha: float, m: int, j: int) -> np.longdouble:
-    if abs(alpha - round(alpha)) < _ALPHA_TOL:
-        return np.longdouble(math.comb(m + j, m))
-    return np.longdouble(_conv_weight_str(alpha, m, j))
+    return _conv_weights(alpha, m, j)[0]
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ def mul_coeff(alpha: float, a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) 
     coefficient at a time (the online product).
     """
     raw = chain.from_iterable(
-        _product_terms(a[m].terms, b[n - m].terms, _conv_weight_ld(alpha, m, n - m))
+        _product_terms(a[m].terms, b[n - m].terms, _conv_weights(alpha, m, n - m)[1])
         for m in range(n + 1)
     )
     return HypExpr(_canonical(raw, _ld_total))

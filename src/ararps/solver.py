@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Sequence, Union
 
 from .fpseries import FracSeries, mul_coeff
@@ -66,25 +66,29 @@ class Const:
 
 @dataclass(frozen=True)
 class Add:
-    terms: tuple["OperatorAst", ...]
+    terms: tuple[OperatorAst, ...]
+
+    def __post_init__(self) -> None:
+        if not self.terms:
+            raise ValueError("Add needs at least one term")
 
 
 @dataclass(frozen=True)
 class Scale:
     factor: float
-    child: "OperatorAst"
+    child: OperatorAst
 
 
 @dataclass(frozen=True)
 class Mul:
-    left: "OperatorAst"
-    right: "OperatorAst"
+    left: OperatorAst
+    right: OperatorAst
 
 
 @dataclass(frozen=True)
 class PowInt:
     exponent: int
-    child: "OperatorAst"
+    child: OperatorAst
 
     def __post_init__(self) -> None:
         if self.exponent < 2:
@@ -94,7 +98,7 @@ class PowInt:
 @dataclass(frozen=True)
 class Dx:
     order: int
-    child: "OperatorAst"
+    child: OperatorAst
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -320,13 +324,16 @@ def with_alpha(spec: PdeSpec, alpha: float) -> PdeSpec:
     return PdeSpec(spec.time_order, alpha, spec.rhs, spec.ic_a, spec.ic_b)
 
 
+# truncation order of the fractional cosh/sinh-type series in exact_solution
+_K_EVAL = 60
+
+
 def exact_solution(
     example_id: int,
     params: ExampleParams | None = None,
     alpha: float = 1.0,
     x: float = 0.0,
     t: float = 0.0,
-    K_eval: int = 60,
 ) -> float:
     """Closed-form benchmark solution.
 
@@ -342,9 +349,9 @@ def exact_solution(
         speed = p.lam * mu / 2.0
         if classical:
             return amp * (1.0 - math.cosh(mu * x / 2.0 - speed * t))
-        even = frac_cosh_series(alpha, speed, t, K_eval)
-        odd = frac_sinh_series(alpha, speed, t, K_eval)
-        _warn_tail(speed, t, alpha, K_eval)
+        even = frac_cosh_series(alpha, speed, t, _K_EVAL)
+        odd = frac_sinh_series(alpha, speed, t, _K_EVAL)
+        _warn_tail(speed, t, alpha)
         return -amp * (
             math.cosh(mu * x / 2.0) * even - math.sinh(mu * x / 2.0) * odd - 1.0
         )
@@ -355,9 +362,9 @@ def exact_solution(
             amp, rate = 1.0, 1.0
         if classical:
             return amp * (math.cosh(x - rate * t) - 1.0)
-        even = frac_cosh_series(alpha, rate, t, K_eval)
-        odd = frac_sinh_series(alpha, rate, t, K_eval)
-        _warn_tail(rate, t, alpha, K_eval)
+        even = frac_cosh_series(alpha, rate, t, _K_EVAL)
+        odd = frac_sinh_series(alpha, rate, t, _K_EVAL)
+        _warn_tail(rate, t, alpha)
         return amp * (math.cosh(x) * even - math.sinh(x) * odd - 1.0)
     if example_id == 4:
         ta = tpow(t, alpha)
@@ -365,65 +372,76 @@ def exact_solution(
     raise ValueError(f"unknown example id {example_id!r}")
 
 
-def _warn_tail(a: float, t: float, alpha: float, K_eval: int) -> None:
+def _warn_tail(a: float, t: float, alpha: float) -> None:
     import warnings
 
     from .special import gamma as _gamma
 
-    p = (2 * K_eval + 2) * alpha
+    p = (2 * _K_EVAL + 2) * alpha
     arg = p + 1.0
     if arg > 170.0:
         return  # tail term underflows well past double range
-    tail = abs(a) ** (2 * K_eval + 2) * tpow(t, p) / _gamma(arg)
+    tail = abs(a) ** (2 * _K_EVAL + 2) * tpow(t, p) / _gamma(arg)
     if tail > 1e-14:
         warnings.warn(
-            f"exact_solution: series tail ~{tail:.2e} above 1e-14; raise K_eval",
+            f"exact_solution: series tail ~{tail:.2e} above 1e-14 at order {_K_EVAL}",
             stacklevel=3,
         )
 
 
 # --------------------------------------------------------------------------
-# JSON ingestion (schema documented in the README)
+# JSON ingestion (schema documented in the README).  A node's JSON keys are
+# its dataclass field names, in field order, after the "node" tag.
 
-_NODE_TAGS = {"solution", "const", "add", "scale", "mul", "pow", "dx"}
+_NODES = {"solution": Solution, "const": Const, "add": Add, "scale": Scale,
+          "mul": Mul, "pow": PowInt, "dx": Dx}
+_TAGS = {cls: tag for tag, cls in _NODES.items()}
+
+
+def _finite(v: Any) -> float:
+    f = float(v)
+    if not math.isfinite(f):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return f
+
+
+def _integral(v: Any) -> int:
+    f = _finite(v)
+    if not f.is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(f)
 
 
 def _ast_to_json(node: OperatorAst) -> dict[str, Any]:
-    if isinstance(node, Solution):
-        return {"node": "solution"}
-    if isinstance(node, Const):
-        return {"node": "const", "value": node.value}
-    if isinstance(node, Add):
-        return {"node": "add", "terms": [_ast_to_json(t) for t in node.terms]}
-    if isinstance(node, Scale):
-        return {"node": "scale", "factor": node.factor, "child": _ast_to_json(node.child)}
-    if isinstance(node, Mul):
-        return {"node": "mul", "left": _ast_to_json(node.left), "right": _ast_to_json(node.right)}
-    if isinstance(node, PowInt):
-        return {"node": "pow", "exponent": node.exponent, "child": _ast_to_json(node.child)}
-    if isinstance(node, Dx):
-        return {"node": "dx", "order": node.order, "child": _ast_to_json(node.child)}
-    raise ValueError(f"ill-formed operator AST node: {node!r}")
+    doc: dict[str, Any] = {"node": _TAGS[type(node)]}
+    for f in fields(node):
+        v = getattr(node, f.name)
+        if type(v) in _TAGS:
+            v = _ast_to_json(v)
+        elif isinstance(v, tuple):
+            v = [_ast_to_json(t) for t in v]
+        doc[f.name] = v
+    return doc
 
 
-def _ast_from_json(obj: dict[str, Any]) -> OperatorAst:
+def _ast_from_json(obj: Any) -> OperatorAst:
+    if not isinstance(obj, dict):
+        raise TypeError(f"AST node must be a JSON object, got {obj!r}")
     tag = obj.get("node")
-    if tag == "solution":
-        return Solution()
-    if tag == "const":
-        return Const(float(obj["value"]))
-    if tag == "add":
-        return Add(tuple(_ast_from_json(t) for t in obj["terms"]))
-    if tag == "scale":
-        return Scale(float(obj["factor"]), _ast_from_json(obj["child"]))
-    if tag == "mul":
-        return Mul(_ast_from_json(obj["left"]), _ast_from_json(obj["right"]))
-    if tag == "pow":
-        return PowInt(int(obj["exponent"]), _ast_from_json(obj["child"]))
-    if tag == "dx":
-        return Dx(int(obj["order"]), _ast_from_json(obj["child"]))
-    raise ValueError(f"unknown AST node tag {tag!r} (expected one of {sorted(_NODE_TAGS)})")
+    cls = _NODES.get(tag)
+    if cls is None:
+        raise ValueError(f"unknown AST node tag {tag!r} (expected one of {sorted(_NODES)})")
+    return cls(*(_FIELD_DECODERS[f.type](obj[f.name]) for f in fields(cls)))
 
+
+# decoder per field annotation, as written in the node classes (annotations
+# are strings under ``from __future__ import annotations``)
+_FIELD_DECODERS = {
+    "float": _finite,
+    "int": _integral,
+    "OperatorAst": _ast_from_json,
+    "tuple[OperatorAst, ...]": lambda v: tuple(map(_ast_from_json, v)),
+}
 
 _KIND_NAMES = {"const": Kind.CONST, "cosh": Kind.COSH, "sinh": Kind.SINH}
 
@@ -437,7 +455,7 @@ def _hyp_to_json(e: HypExpr) -> list[dict[str, Any]]:
 
 def _hyp_from_json(items: list[dict[str, Any]]) -> HypExpr:
     return HypExpr.of(
-        (_KIND_NAMES[it["kind"]], float(it.get("freq", 0.0)), float(it["coeff"]))
+        (_KIND_NAMES[it["kind"]], _finite(it.get("freq", 0.0)), _finite(it["coeff"]))
         for it in items
     )
 
@@ -455,11 +473,12 @@ def pde_spec_to_json(spec: PdeSpec) -> str:
 
 
 def pde_spec_from_json(text: str) -> PdeSpec:
+    """Parse a spec; malformed input raises ValueError, KeyError or TypeError."""
     doc = json.loads(text)
     ic_b = _hyp_from_json(doc["ic_b"]) if "ic_b" in doc else None
     return PdeSpec(
-        time_order=int(doc["time_order"]),
-        alpha=float(doc["alpha"]),
+        time_order=_integral(doc["time_order"]),
+        alpha=_finite(doc["alpha"]),
         rhs=_ast_from_json(doc["rhs"]),
         ic_a=_hyp_from_json(doc["ic_a"]),
         ic_b=ic_b,

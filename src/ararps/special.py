@@ -11,7 +11,6 @@ import math
 
 __all__ = [
     "gamma",
-    "gamma_ratio",
     "frac_cosh_series",
     "frac_sinh_series",
     "tpow",
@@ -46,30 +45,6 @@ def gamma(x: float) -> float:
             acc *= i - 0.5
         return acc
     return math.gamma(x)
-
-
-def gamma_ratio(p: float, q: float) -> float:
-    """Gamma(p)/Gamma(q) without intermediate overflow.
-
-    When p - q is an integer the ratio is evaluated by the recurrence
-    Gamma(x+1) = x*Gamma(x), which keeps e.g. gamma_ratio(10.5, 8.5)
-    exactly 80.75.  Otherwise it falls back to lgamma subtraction.
-    """
-    if not (p > 0.0 and q > 0.0):
-        raise ValueError(f"gamma_ratio: arguments must be positive, got {p!r}, {q!r}")
-    d = p - q
-    k = _near_int(d)
-    if k is not None and abs(k) <= 60:
-        if k >= 0:
-            acc = 1.0
-            for i in range(k):
-                acc *= q + i
-            return acc
-        acc = 1.0
-        for i in range(-k):
-            acc *= p + i
-        return 1.0 / acc
-    return math.exp(math.lgamma(p) - math.lgamma(q))
 
 
 def tpow(t: float, p: float) -> float:

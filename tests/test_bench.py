@@ -125,6 +125,22 @@ class TestCli:
         assert res.exit_code == 0
         assert "c[1]" in res.output
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda d: d.pop("rhs"), lambda d: d["ic_a"][0].update(coeff="nan"),
+         lambda d: d["ic_a"][0].update(freq=1e300), lambda d: d["rhs"].update(terms=[]),
+         lambda d: d["rhs"]["terms"][0].update(child=3)],
+        ids=["missing-rhs", "nan-coeff", "huge-freq", "empty-add", "non-object-node"],
+    )
+    def test_bad_spec_exit_2(self, tmp_path, edit):
+        doc = json.loads(pde_spec_to_json(builtin_example(4)))
+        edit(doc)
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        res = self.runner.invoke(cli, ["solve", "--spec", str(p)])
+        assert res.exit_code == 2
+        assert "bad spec" in res.output
+
     def test_table_command(self, tmp_path):
         out = tmp_path / "t4.csv"
         res = self.runner.invoke(cli, ["table", "--example", "3", "--out", str(out)])

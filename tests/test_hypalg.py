@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -41,6 +42,14 @@ class TestCanonicalForm:
         e = HypExpr.of([(Kind.COSH, 1.0, 1.0), (Kind.COSH, 1.0 + 1e-14, 2.0)])
         assert len(e.terms) == 1
         assert e.terms[0][2] == pytest.approx(3.0)
+
+    def test_merge_is_transitive_and_order_free(self):
+        # 1.0 and 1.0+1.8e-12 are more than 1e-12 apart but share a cell with
+        # 1.0+0.9e-12; every order gives one term at the first frequency in
+        contribs = [(Kind.COSH, 1.0, 1.0), (Kind.COSH, 1.0 + 0.9e-12, 2.0),
+                    (Kind.COSH, 1.0 + 1.8e-12, 4.0)]
+        for order in itertools.permutations(contribs):
+            assert HypExpr.of(order).terms == ((Kind.COSH, order[0][1], 7.0),)
 
     def test_cancellation_residue_pruned(self):
         e = HypExpr.cosh(1.0, 1.0) + HypExpr.cosh(1.0, -1.0) + HypExpr.const(5.0)

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +75,8 @@ class TestAst:
         )
 
     def test_node_validation(self):
+        with pytest.raises(ValueError):
+            Add(())
         with pytest.raises(ValueError):
             PowInt(1, Solution())
         with pytest.raises(ValueError):
@@ -449,11 +454,12 @@ class TestExactSolution:
 
 class TestJsonSpecs:
     def test_round_trip(self):
-        for ex in (1, 2, 3, 4):
-            spec = with_alpha(builtin_example(ex), 0.75)
+        specs = [with_alpha(builtin_example(ex), 0.75) for ex in (1, 2, 3, 4)]
+        for spec in specs + [_generic_spec(), _shared_pow_spec()]:
             back = pde_spec_from_json(pde_spec_to_json(spec))
             assert back.time_order == spec.time_order
             assert back.alpha == spec.alpha
+            assert back.rhs == spec.rhs
             r1 = solve(spec, 4)
             r2 = solve(back, 4)
             for c1, c2 in zip(r1.series.coeffs, r2.series.coeffs):
@@ -465,3 +471,45 @@ class TestJsonSpecs:
                 '{"time_order": 1, "alpha": 1.0, "rhs": {"node": "frobnicate"},'
                 ' "ic_a": [{"kind": "const", "coeff": 1.0}]}'
             )
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [(("ic_a", 0, "coeff"), "nan"), (("ic_a", 0, "freq"), "nan"),
+         (("rhs", "terms", 1, "factor"), "inf"), (("alpha",), "nan")],
+        ids=["coeff-nan", "freq-nan", "factor-inf", "alpha-nan"],
+    )
+    def test_non_finite_number_rejected(self, path, value):
+        with pytest.raises(ValueError, match="finite"):
+            pde_spec_from_json(_edited_spec(path, value))
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [(("rhs", "terms", 0, "child", "exponent"), 2.7),
+         (("rhs", "terms", 0, "order"), 1.5), (("time_order",), 1.5)],
+        ids=["exponent", "dx-order", "time-order"],
+    )
+    def test_non_integral_int_rejected(self, path, value):
+        with pytest.raises(ValueError, match="integer"):
+            pde_spec_from_json(_edited_spec(path, value))
+
+    def test_integral_float_accepted(self):
+        spec = pde_spec_from_json(_edited_spec(("rhs", "terms", 0, "child", "exponent"), 3.0))
+        assert spec.rhs == builtin_example(4).rhs
+
+    def test_readme_spec_solves(self):
+        # the README's schema example must parse and solve with this codec
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert len(blocks) == 1
+        spec = pde_spec_from_json(blocks[0])
+        assert solve(spec, 2).order == 2
+
+
+def _edited_spec(path, value) -> str:
+    """Example 4's JSON with the item at ``path`` set to ``value``."""
+    doc = json.loads(pde_spec_to_json(builtin_example(4)))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)

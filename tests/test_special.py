@@ -7,7 +7,6 @@ from ararps.special import (
     frac_cosh_series,
     frac_sinh_series,
     gamma,
-    gamma_ratio,
     tpow,
 )
 
@@ -35,31 +34,6 @@ class TestGamma:
     def test_overflow(self):
         with pytest.raises(OverflowError):
             gamma(172.0)
-
-
-class TestGammaRatio:
-    def test_integer_offset_exact(self):
-        # Gamma(10.5)/Gamma(8.5) = 9.5 * 8.5
-        assert gamma_ratio(10.5, 8.5) == 80.75
-        assert gamma_ratio(8.5, 10.5) == 1.0 / 80.75
-
-    def test_equal_args(self):
-        assert gamma_ratio(3.7, 3.7) == 1.0
-
-    def test_large_args_no_overflow(self):
-        # both Gammas overflow individually
-        r = gamma_ratio(400.25, 399.25)
-        assert r == pytest.approx(399.25, rel=1e-12)
-
-    def test_generic_fallback(self):
-        p, q = 2.3, 1.1
-        assert gamma_ratio(p, q) == pytest.approx(
-            math.gamma(p) / math.gamma(q), rel=1e-12
-        )
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_ratio(-1.0, 2.0)
 
 
 class TestTpow:
