@@ -22,7 +22,7 @@ from .bench import (
     parse_csv,
     run_validation,
 )
-from .caputo import CaputoConfig, ConvergenceError, caputo_numeric, rl_integral_numeric
+from .caputo import ConvergenceError, caputo_numeric, rl_integral_numeric
 from .fpseries import (
     FracSeries,
     conv_weight,

@@ -4,6 +4,7 @@ The order-n transform of y(t) is  G_n[y](s) = s * int_0^inf t^(n-1) e^(-st) y dt
 For the solver only the exact series-level maps matter (h_n = (n*alpha+1) c_n
 between a FracSeries and its order-two image); the quadrature routines exist
 to verify the transform identities independently of the formal algebra.
+Quadrature runs on caputo's shared core; fractional derivatives come from the caller.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import scipy.integrate
-
-from .caputo import CaputoConfig, ConvergenceError, caputo_numeric
+from .caputo import _quad
 from .fpseries import FracSeries
 from .hypalg import HypExpr
 from .special import gamma
@@ -104,20 +103,8 @@ def ara_numeric(f: Callable[[float], float], n: int, s: float) -> float:
             f"ara_numeric: tail bound {s * tail:.3e} at T={T:.3g} exceeds tol",
             stacklevel=2,
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        val, err = scipy.integrate.quad(
-            integrand,
-            0.0,
-            T,
-            epsabs=0.1 * _QUAD_TOL,
-            epsrel=1e-11,
-            limit=_QUAD_PANELS,
-            points=[1.0 / s] if 1.0 / s < T else None,
-        )
-    if err > 1e4 * _QUAD_TOL * (1.0 + abs(val)):
-        raise ConvergenceError(f"ara_numeric: error estimate {err:.3e} too large")
-    return s * val
+    points = [1.0 / s] if 1.0 / s < T else None
+    return s * _quad(integrand, 0.0, T, 0.1 * _QUAD_TOL, 1e-11, _QUAD_PANELS, points)
 
 
 def ara_monomial(p: float, n: int, s: float) -> float:
@@ -169,16 +156,15 @@ def verify_property(
 ) -> PropertyReport:
     """Numerically check one of the seven transform identities on ``f``.
 
-    Fractional derivatives default to the quadrature Caputo oracle; closed
-    forms can be supplied via ``dalpha_f``/``d2alpha_f`` (the latter is the
-    sequential derivative of order 2*alpha and is required for property 6).
+    Properties 3 and 5 need the closed-form Caputo derivative ``dalpha_f``;
+    property 6 also needs ``d2alpha_f``, the sequential derivative of order
+    2*alpha. Without them these properties raise ValueError.
     Limit-type properties (2 and 7) extrapolate over the given s values,
     which must be geometrically spaced.
     """
-    cfg = CaputoConfig()
     f0 = f(0.0)
-    if dalpha_f is None:
-        dalpha_f = lambda t: caputo_numeric(f, alpha, t, cfg)
+    if property_id in (3, 5, 6) and dalpha_f is None or property_id == 6 and d2alpha_f is None:
+        raise ValueError(f"property {property_id} needs dalpha_f (and d2alpha_f for 6)")
 
     disc: list[float] = []
     if property_id == 1:
@@ -210,9 +196,6 @@ def verify_property(
             )
             disc.append(abs(lhs - rhs))
     elif property_id == 6:
-        if d2alpha_f is None:
-            inner = dalpha_f
-            d2alpha_f = lambda t: caputo_numeric(inner, alpha, t, cfg)
         # D^alpha f at 0+; supply dalpha_f0 when the limit is known exactly
         b0 = dalpha_f(1e-12) if dalpha_f0 is None else dalpha_f0
         for s in s_values:

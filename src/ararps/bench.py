@@ -151,14 +151,13 @@ def emit_surface(
 # validation driver
 
 
-def run_validation(verbose: bool = True) -> list[str]:
-    """Cross-module consistency checks; returns failure messages (empty = ok)."""
+def run_validation() -> list[str]:
+    """Cross-module consistency checks, one echoed line each; returns failures."""
     failures: list[str] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
-        if verbose:
-            status = "ok" if ok else "FAIL"
-            click.echo(f"  [{status}] {name}" + (f"  ({detail})" if detail else ""))
+        status = "ok" if ok else "FAIL"
+        click.echo(f"  [{status}] {name}" + (f"  ({detail})" if detail else ""))
         if not ok:
             failures.append(f"{name}: {detail}")
 
@@ -206,6 +205,10 @@ def _out_dir(opt: str | None) -> Path:
     return Path(os.environ.get("ARARPS_OUTDIR", "."))
 
 
+_ALPHA = click.FloatRange(0.0, 1.0, min_open=True)
+_POSITIVE = click.FloatRange(0.0, min_open=True)
+
+
 @click.group()
 def cli() -> None:
     """Fractional power series solver for hyperbolic-wave benchmark PDEs."""
@@ -216,47 +219,51 @@ def cli() -> None:
               help="Built-in example id (1-4).")
 @click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
               help="JSON problem specification file.")
-@click.option("--alpha", type=float, default=1.0, show_default=True)
+@click.option("--alpha", type=_ALPHA, help="Defaults to the spec's alpha (1 with --example).")
 @click.option("--order", "K", type=int, default=6, show_default=True)
 @click.option("--at", "points", multiple=True,
               help="Evaluate at x:t (repeatable), e.g. --at 0:1.")
 @click.option("--gamma", type=float, default=2.0, show_default=True)
-@click.option("--v", type=float, default=1.0, show_default=True)
-@click.option("--w", type=float, default=1.0, show_default=True)
+@click.option("--v", type=_POSITIVE, default=1.0, show_default=True)
+@click.option("--w", type=_POSITIVE, default=1.0, show_default=True)
 @click.option("--lam", "--lambda", "lam", type=float, default=1.0, show_default=True)
 def cmd_solve(example_id, spec_path, alpha, K, points, gamma, v, w, lam):
     """Print series coefficients (and point values) for a problem."""
     if (example_id is None) == (spec_path is None):
         raise click.UsageError("provide exactly one of --example or --spec")
-    if example_id is not None:
-        params = ExampleParams(v=v, w=w, lam=lam, gamma=gamma)
-        spec = with_alpha(builtin_example(example_id, params), alpha)
-    else:
+    if spec_path is not None:
         try:
             spec = pde_spec_from_json(Path(spec_path).read_text())
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise click.UsageError(f"bad spec {spec_path}: {exc!r}")
-        spec = with_alpha(spec, alpha)
-    result = solve(spec, K)
+    try:  # checks that depend on the problem, e.g. --order below the time order
+        if example_id is not None:  # alpha 1 unless --alpha
+            spec = builtin_example(example_id, ExampleParams(v=v, w=w, lam=lam, gamma=gamma))
+        if alpha is not None:
+            spec = with_alpha(spec, alpha)
+        result = solve(spec, K)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     for n, c in enumerate(result.series.coeffs):
         click.echo(f"c[{n}] = {c.render()}")
     for pt in points:
         try:
             xs, ts = pt.split(":")
             x, t = float(xs), float(ts)
+            y = series_eval(result.series, x, t)
         except ValueError:
-            raise click.UsageError(f"bad point {pt!r}; expected x:t")
-        click.echo(f"y({x:g}, {t:g}) = {series_eval(result.series, x, t):.15g}")
+            raise click.UsageError(f"bad point {pt!r}; expected x:t with t >= 0")
+        click.echo(f"y({x:g}, {t:g}) = {y:.15g}")
 
 
 @cli.command("table")
 @click.option("--example", "example_id", type=click.IntRange(1, 4), required=True)
-@click.option("--alpha", type=float, default=1.0, show_default=True)
+@click.option("--alpha", type=_ALPHA, default=1.0, show_default=True)
 @click.option("--order", "K", type=int, default=None,
               help="Truncation order (defaults per example).")
 @click.option("--gamma", type=float, default=2.0, show_default=True)
-@click.option("--v", type=float, default=1.0, show_default=True)
-@click.option("--w", type=float, default=1.0, show_default=True)
+@click.option("--v", type=_POSITIVE, default=1.0, show_default=True)
+@click.option("--w", type=_POSITIVE, default=1.0, show_default=True)
 @click.option("--lam", "--lambda", "lam", type=float, default=1.0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="CSV path (defaults to table_exN[...].csv in the output dir).")
@@ -264,7 +271,10 @@ def cmd_solve(example_id, spec_path, alpha, K, points, gamma, v, w, lam):
 def cmd_table(example_id, alpha, K, gamma, v, w, lam, out_path, out_dir):
     """Regenerate a benchmark error table as CSV."""
     params = ExampleParams(v=v, w=w, lam=lam, gamma=gamma)
-    rows = make_table(example_id, params, alpha, K)
+    try:
+        rows = make_table(example_id, params, alpha, K)
+    except ValueError as exc:  # e.g. --order below the time order
+        raise click.UsageError(str(exc)) from None
     if out_path is None:
         suffix = f"_gamma{gamma:g}" if example_id == 2 else ""
         out_path = _out_dir(out_dir) / f"table_ex{example_id}{suffix}.csv"
@@ -275,7 +285,7 @@ def cmd_table(example_id, alpha, K, gamma, v, w, lam, out_path, out_dir):
 @cli.command("transform")
 @click.option("--fn", required=True, help="Function of t; monomials like t^1.5.")
 @click.option("--n", "order", type=click.Choice(["1", "2"]), required=True)
-@click.option("--s", "s", type=float, required=True)
+@click.option("--s", "s", type=_POSITIVE, required=True)
 def cmd_transform(fn, order, s):
     """Numeric vs closed-form transform values for a monomial."""
     m = re.fullmatch(r"t(?:\^([0-9.]+))?", fn.strip())
@@ -293,7 +303,7 @@ def cmd_transform(fn, order, s):
 @cli.command("validate")
 def cmd_validate():
     """Run the cross-module validation suites."""
-    failures = run_validation(verbose=True)
+    failures = run_validation()
     if failures:
         click.echo(f"{len(failures)} check(s) failed", err=True)
         sys.exit(1)
@@ -302,7 +312,7 @@ def cmd_validate():
 
 @cli.command("surface")
 @click.option("--example", "example_id", type=click.IntRange(1, 4), required=True)
-@click.option("--alpha", "alphas", type=float, multiple=True,
+@click.option("--alpha", "alphas", type=_ALPHA, multiple=True,
               default=(0.25, 0.5, 0.75, 1.0), show_default=True)
 @click.option("--order", "K", type=int, default=24, show_default=True)
 @click.option("--gamma", type=float, default=2.0, show_default=True)
@@ -310,7 +320,10 @@ def cmd_validate():
 def cmd_surface(example_id, alphas, K, gamma, out_dir):
     """Emit `x t y` surface data files (one per alpha, plus exact)."""
     params = ExampleParams(gamma=gamma)
-    paths = emit_surface(example_id, params, alphas, K, out_dir=_out_dir(out_dir))
+    try:
+        paths = emit_surface(example_id, params, alphas, K, out_dir=_out_dir(out_dir))
+    except ValueError as exc:  # e.g. --order below the time order
+        raise click.UsageError(str(exc)) from None
     for p in paths:
         click.echo(f"wrote {p}")
 

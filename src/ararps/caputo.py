@@ -1,50 +1,49 @@
-"""Numerical Caputo derivative and Riemann-Liouville integral.
+"""Numerical Caputo derivative, Riemann-Liouville integral and the shared
+quadrature core of every numeric oracle.
 
 These quadrature-based operators are validation oracles for the exact
 series machinery; they never sit on the solver path, so their tolerances
 are deliberately looser (1e-5-ish, capped by the finite-difference inner
-derivative) than the exact-arithmetic 1e-12 elsewhere.
+derivative) than the exact-arithmetic 1e-12 elsewhere.  This is the only
+module that imports scipy.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import scipy.integrate
 
 from .special import gamma
 
-__all__ = ["CaputoConfig", "ConvergenceError", "rl_integral_numeric", "caputo_numeric"]
+__all__ = ["ConvergenceError", "rl_integral_numeric", "caputo_numeric"]
+
+# quadrature tolerance and panel limit of rl_integral_numeric
+_TOL = 1e-9
+_PANELS = 200
+# relative step of caputo_numeric's finite-difference inner derivative
+_STEP = 1e-5
 
 
 class ConvergenceError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class CaputoConfig:
-    quadrature_tol: float = 1e-9
-    derivative_step: float = 1e-5
-    max_panels: int = 200
-
-    def __post_init__(self) -> None:
-        if self.quadrature_tol <= 0.0:
-            raise ValueError("quadrature_tol must be positive")
-        if not 1e-7 <= self.derivative_step <= 1e-3:
-            raise ValueError("derivative_step must lie in [1e-7, 1e-3]")
-
-
-DEFAULT_CONFIG = CaputoConfig()
+def _quad(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel: float,
+          limit: int, points: Sequence[float] | None = None) -> float:
+    """int_a^b f; ConvergenceError if the error estimate exceeds 1e-6 * (1 + |value|)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        val, err = scipy.integrate.quad(
+            f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, points=points
+        )
+    if err > 1e-6 * (1.0 + abs(val)):
+        raise ConvergenceError(f"quadrature error estimate {err:.3e} exceeds budget")
+    return val
 
 
-def rl_integral_numeric(
-    f: Callable[[float], float],
-    alpha: float,
-    t: float,
-    config: CaputoConfig = DEFAULT_CONFIG,
-) -> float:
+def rl_integral_numeric(f: Callable[[float], float], alpha: float, t: float) -> float:
     """J^alpha f at time t for alpha > 0.
 
     The substitution tau = t (1 - u^(1/alpha)) absorbs the weakly singular
@@ -61,39 +60,19 @@ def rl_integral_numeric(
     def integrand(u: float) -> float:
         return f(t * (1.0 - u ** inv))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        val, err = scipy.integrate.quad(
-            integrand,
-            0.0,
-            1.0,
-            epsabs=config.quadrature_tol,
-            epsrel=config.quadrature_tol,
-            limit=config.max_panels,
-        )
-    scale = t ** alpha / gamma(alpha + 1.0)
-    if err > 1e3 * config.quadrature_tol * (1.0 + abs(val)):
-        raise ConvergenceError(
-            f"rl_integral_numeric: error estimate {err:.3e} exceeds budget"
-        )
-    return scale * val
+    return t ** alpha / gamma(alpha + 1.0) * _quad(integrand, 0.0, 1.0, _TOL, _TOL, _PANELS)
 
 
-def _derivative(f: Callable[[float], float], tau: float, step: float) -> float:
+def _derivative(f: Callable[[float], float], tau: float) -> float:
     # relative step keeps the finite difference stable near an algebraic
     # singularity of f' at tau = 0
-    h = step * max(abs(tau), step)
+    h = _STEP * max(abs(tau), _STEP)
     if tau - h >= 0.0:
         return (f(tau + h) - f(tau - h)) / (2.0 * h)
     return (f(tau + h) - f(tau)) / h
 
 
-def caputo_numeric(
-    f: Callable[[float], float],
-    alpha: float,
-    t: float,
-    config: CaputoConfig = DEFAULT_CONFIG,
-) -> float:
+def caputo_numeric(f: Callable[[float], float], alpha: float, t: float) -> float:
     """Caputo derivative of order alpha in (0, 1] at time t > 0.
 
     Computed as J^(1-alpha) applied to a finite-difference derivative of f;
@@ -104,6 +83,5 @@ def caputo_numeric(
     if t <= 0.0:
         raise ValueError("caputo_numeric: t must be positive")
     if alpha > 1.0 - 1e-12:
-        return _derivative(f, t, config.derivative_step)
-    fprime = lambda tau: _derivative(f, tau, config.derivative_step)
-    return rl_integral_numeric(fprime, 1.0 - alpha, t, config)
+        return _derivative(f, t)
+    return rl_integral_numeric(lambda tau: _derivative(f, tau), 1.0 - alpha, t)

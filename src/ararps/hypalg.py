@@ -73,6 +73,13 @@ def _canonical(
     return tuple(kept)
 
 
+def _checked_freq(freq: float) -> float:
+    """``freq``, unless it is nonzero yet in cell 0, which ``_canonical`` reads as 0."""
+    if 0.0 < abs(freq) <= 2.0 ** -31:
+        raise ValueError(f"frequency {freq!r} is nonzero but at most 2**-31")
+    return freq
+
+
 @dataclass(frozen=True)
 class HypExpr:
     """Immutable canonical combination of CONST/COSH/SINH terms."""
@@ -93,11 +100,11 @@ class HypExpr:
 
     @staticmethod
     def cosh(freq: float, coeff: float = 1.0) -> "HypExpr":
-        return HypExpr.of([(Kind.COSH, float(freq), float(coeff))])
+        return HypExpr.of([(Kind.COSH, _checked_freq(float(freq)), float(coeff))])
 
     @staticmethod
     def sinh(freq: float, coeff: float = 1.0) -> "HypExpr":
-        return HypExpr.of([(Kind.SINH, float(freq), float(coeff))])
+        return HypExpr.of([(Kind.SINH, _checked_freq(float(freq)), float(coeff))])
 
     # -- ring operations -------------------------------------------------
 

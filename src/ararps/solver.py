@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Sequence, Union
 
 from .fpseries import FracSeries, mul_coeff
-from .hypalg import HypExpr, Kind
+from .hypalg import HypExpr, Kind, _checked_freq
 from .special import frac_cosh_series, frac_sinh_series, tpow
 
 __all__ = [
@@ -396,6 +396,8 @@ def _warn_tail(a: float, t: float, alpha: float) -> None:
 _NODES = {"solution": Solution, "const": Const, "add": Add, "scale": Scale,
           "mul": Mul, "pow": PowInt, "dx": Dx}
 _TAGS = {cls: tag for tag, cls in _NODES.items()}
+# deepest JSON AST decoded (it recurses per level); the built-in examples reach 6
+_MAX_AST_DEPTH = 100
 
 
 def _finite(v: Any) -> float:
@@ -422,6 +424,16 @@ def _ast_to_json(node: OperatorAst) -> dict[str, Any]:
             v = [_ast_to_json(t) for t in v]
         doc[f.name] = v
     return doc
+
+
+def _check_depth(obj: Any) -> None:
+    """Reject a JSON AST deeper than ``_MAX_AST_DEPTH`` before decoding it."""
+    level = [obj]
+    for _ in range(_MAX_AST_DEPTH):
+        level = [c for o in level if isinstance(o, dict) for v in o.values()
+                 for c in (v if isinstance(v, list) else [v]) if isinstance(c, dict)]
+    if level:
+        raise ValueError(f"operator AST deeper than {_MAX_AST_DEPTH} levels")
 
 
 def _ast_from_json(obj: Any) -> OperatorAst:
@@ -455,7 +467,8 @@ def _hyp_to_json(e: HypExpr) -> list[dict[str, Any]]:
 
 def _hyp_from_json(items: list[dict[str, Any]]) -> HypExpr:
     return HypExpr.of(
-        (_KIND_NAMES[it["kind"]], _finite(it.get("freq", 0.0)), _finite(it["coeff"]))
+        (_KIND_NAMES[it["kind"]], _checked_freq(_finite(it.get("freq", 0.0))),
+         _finite(it["coeff"]))
         for it in items
     )
 
@@ -474,7 +487,11 @@ def pde_spec_to_json(spec: PdeSpec) -> str:
 
 def pde_spec_from_json(text: str) -> PdeSpec:
     """Parse a spec; malformed input raises ValueError, KeyError or TypeError."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    _check_depth(doc["rhs"])
     ic_b = _hyp_from_json(doc["ic_b"]) if "ic_b" in doc else None
     return PdeSpec(
         time_order=_integral(doc["time_order"]),

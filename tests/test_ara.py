@@ -137,6 +137,12 @@ class TestProperties:
         rep = verify_property(4, lambda t: t, S_GRID, alpha=0.7)
         assert rep.max_discrepancy < 1e-8
 
+    def test_closed_form_derivatives_required(self):
+        with pytest.raises(ValueError):
+            verify_property(3, math.exp, S_GRID)
+        with pytest.raises(ValueError):
+            verify_property(6, math.exp, S_GRID, dalpha_f=math.exp)
+
     def test_unknown_property(self):
         with pytest.raises(ValueError):
             verify_property(9, math.exp, S_GRID)

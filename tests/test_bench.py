@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,13 @@ class TestSurface:
             assert all(len(line.split()) == 3 for line in lines)
 
 
+def _dx_chain(depth):
+    node = {"node": "solution"}
+    for _ in range(depth - 1):
+        node = {"node": "dx", "order": 1, "child": node}
+    return node
+
+
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
@@ -108,6 +116,36 @@ class TestCli:
         assert self.runner.invoke(cli, ["solve", "--example", "9"]).exit_code == 2
         assert self.runner.invoke(cli, ["table", "--example", "0"]).exit_code == 2
         assert self.runner.invoke(cli, ["surface", "--example", "5"]).exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["solve", "--example", "4", "--order", "-3"],
+         ["solve", "--example", "4", "--alpha", "0"],
+         ["solve", "--example", "4", "--alpha", "1.5"],
+         ["solve", "--example", "4", "--at", "0:-1"],
+         ["solve", "--example", "1", "--v", "-1"],
+         ["solve", "--example", "1", "--v", "1e-20"],
+         ["table", "--example", "1", "--order", "-2"],
+         ["surface", "--example", "1", "--alpha", "0"],
+         ["transform", "--fn", "t", "--n", "1", "--s", "0"]],
+        ids=["order", "alpha-0", "alpha-1.5", "negative-t", "v", "v-in-constant-cell",
+             "table-order", "surface-alpha", "s"],
+    )
+    def test_bad_flag_exit_2(self, args):
+        res = self.runner.invoke(cli, args)
+        assert res.exit_code == 2
+        assert "Error:" in res.output
+
+    def test_solve_spec_keeps_its_alpha(self, tmp_path):
+        # README's spec has alpha 0.5; --alpha overrides it only when given
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        p = tmp_path / "spec.json"
+        p.write_text(re.findall(r"```json\n(.*?)```", readme, re.DOTALL)[0])
+        run = lambda *extra: self.runner.invoke(
+            cli, ["solve", "--spec", str(p), "--order", "4", "--at", "1:0.5", *extra]
+        ).output
+        assert run() == run("--alpha", "0.5")
+        assert run() != run("--alpha", "1")
 
     def test_solve_prints_coefficients_and_point(self):
         res = self.runner.invoke(
@@ -129,8 +167,10 @@ class TestCli:
         "edit",
         [lambda d: d.pop("rhs"), lambda d: d["ic_a"][0].update(coeff="nan"),
          lambda d: d["ic_a"][0].update(freq=1e300), lambda d: d["rhs"].update(terms=[]),
-         lambda d: d["rhs"]["terms"][0].update(child=3)],
-        ids=["missing-rhs", "nan-coeff", "huge-freq", "empty-add", "non-object-node"],
+         lambda d: d["rhs"]["terms"][0].update(child=3),
+         lambda d: d.update(rhs=_dx_chain(800))],
+        ids=["missing-rhs", "nan-coeff", "huge-freq", "empty-add", "non-object-node",
+             "deep-ast"],
     )
     def test_bad_spec_exit_2(self, tmp_path, edit):
         doc = json.loads(pde_spec_to_json(builtin_example(4)))

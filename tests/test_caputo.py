@@ -1,25 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
 from ararps.caputo import (
-    CaputoConfig,
     ConvergenceError,
+    _quad,
     caputo_numeric,
     rl_integral_numeric,
 )
 from ararps.special import gamma
-
-
-class TestConfig:
-    def test_defaults_valid(self):
-        CaputoConfig()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CaputoConfig(quadrature_tol=0.0)
-        with pytest.raises(ValueError):
-            CaputoConfig(derivative_step=1e-2)
 
 
 class TestRlIntegral:
@@ -77,7 +68,22 @@ class TestCaputo:
 
     def test_convergence_error_surfaced(self):
         # pathological oscillator at absurd tolerance must raise, not return junk
-        cfg = CaputoConfig(quadrature_tol=1e-13, max_panels=2)
         nasty = lambda t: math.sin(1.0 / (t + 1e-12))
-        with pytest.raises((ConvergenceError, ZeroDivisionError)):
-            rl_integral_numeric(nasty, 0.3, 1.0, cfg)
+        with pytest.raises(ConvergenceError):
+            _quad(nasty, 0.0, 1.0, 1e-13, 1e-13, limit=2)
+
+
+def test_scipy_imported_only_in_caputo():
+    # keeps a lazy scipy import a change at one site
+    importers = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "ararps").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"caputo.py"}

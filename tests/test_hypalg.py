@@ -38,6 +38,15 @@ class TestCanonicalForm:
     def test_sinh_zero_freq_vanishes(self):
         assert HypExpr.sinh(0.0, 5.0).is_zero()
 
+    @pytest.mark.parametrize("freq", [1e-10, -1e-10, 2.0 ** -31])
+    def test_frequency_in_constant_cell_rejected(self, freq):
+        # cell 0 is the constant term: sinh(1e-10*x)*1e10 would vanish
+        with pytest.raises(ValueError):
+            HypExpr.sinh(freq, 1e10)
+        with pytest.raises(ValueError):
+            HypExpr.cosh(freq)
+        assert HypExpr.sinh(2.0 ** -30, 1.0).terms == ((Kind.SINH, 2.0 ** -30, 1.0),)
+
     def test_merge_of_close_frequencies(self):
         e = HypExpr.of([(Kind.COSH, 1.0, 1.0), (Kind.COSH, 1.0 + 1e-14, 2.0)])
         assert len(e.terms) == 1

@@ -492,6 +492,19 @@ class TestJsonSpecs:
         with pytest.raises(ValueError, match="integer"):
             pde_spec_from_json(_edited_spec(path, value))
 
+    def test_frequency_in_constant_cell_rejected(self):
+        with pytest.raises(ValueError, match="2\\*\\*-31"):
+            pde_spec_from_json(_edited_spec(("ic_a", 0, "freq"), 1e-10))
+
+    @pytest.mark.parametrize("depth,ok", [(100, True), (101, False), (800, False), (5000, False)])
+    def test_ast_depth_limited(self, depth, ok):
+        spec = _dx_chain_spec(depth)
+        if ok:
+            assert pde_spec_from_json(spec).rhs is not None
+        else:
+            with pytest.raises(ValueError):
+                pde_spec_from_json(spec)
+
     def test_integral_float_accepted(self):
         spec = pde_spec_from_json(_edited_spec(("rhs", "terms", 0, "child", "exponent"), 3.0))
         assert spec.rhs == builtin_example(4).rhs
@@ -503,6 +516,16 @@ class TestJsonSpecs:
         assert len(blocks) == 1
         spec = pde_spec_from_json(blocks[0])
         assert solve(spec, 2).order == 2
+
+
+def _dx_chain_spec(depth: int) -> str:
+    """Example 4's JSON with the rhs a chain of ``depth`` AST nodes (dx ... solution)."""
+    rhs = '{"node": "solution"}'
+    for _ in range(depth - 1):
+        rhs = '{"node": "dx", "order": 1, "child": ' + rhs + "}"
+    doc = json.loads(pde_spec_to_json(builtin_example(4)))
+    doc["rhs"] = "RHS"  # json.dumps itself recurses, so splice the chain in as text
+    return json.dumps(doc).replace('"RHS"', rhs)
 
 
 def _edited_spec(path, value) -> str:
