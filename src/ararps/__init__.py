@@ -54,6 +54,6 @@ from .solver import (
     solve,
     with_alpha,
 )
-from .special import frac_cosh_series, frac_sinh_series, gamma
+from .special import frac_cosh_series, frac_sinh_series, gamma, rgamma
 
 __version__ = "0.1.0"

@@ -244,6 +244,9 @@ def cmd_solve(example_id, spec_path, alpha, K, points, gamma, v, w, lam):
         result = solve(spec, K)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+    except OverflowError as exc:  # a coefficient left the double range
+        where = f"bad spec {spec_path}: " if spec_path else ""
+        raise click.UsageError(f"{where}{exc}") from None
     for n, c in enumerate(result.series.coeffs):
         click.echo(f"c[{n}] = {c.render()}")
     for pt in points:

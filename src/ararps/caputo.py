@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import scipy.integrate
 
-from .special import gamma
+from .special import rgamma
 
 __all__ = ["ConvergenceError", "rl_integral_numeric", "caputo_numeric"]
 
@@ -60,7 +60,7 @@ def rl_integral_numeric(f: Callable[[float], float], alpha: float, t: float) -> 
     def integrand(u: float) -> float:
         return f(t * (1.0 - u ** inv))
 
-    return t ** alpha / gamma(alpha + 1.0) * _quad(integrand, 0.0, 1.0, _TOL, _TOL, _PANELS)
+    return t ** alpha * rgamma(alpha + 1.0) * _quad(integrand, 0.0, 1.0, _TOL, _TOL, _PANELS)
 
 
 def _derivative(f: Callable[[float], float], tau: float) -> float:

@@ -10,11 +10,13 @@ c_n / Gamma(n*alpha + 1)) makes Caputo differentiation an exact index shift
 and matches the transform-space coefficients h_n = (n*alpha + 1) c_n.
 
 Products use the convolution weights Gamma(n*alpha+1) / (Gamma(m*alpha+1)
-Gamma(j*alpha+1)); the weights are correctly rounded (computed once in
-extended precision and cached).  Each output coefficient goes through the
-product-to-sum table of ``hypalg`` with the weight as a longdouble, so the
-contributions and their per-frequency sums are accumulated in 80-bit
-arithmetic and deep solver recursions stay at a few ulp.
+Gamma(j*alpha+1)); the weights are correctly rounded (computed once from
+the 40-digit Gamma values of ``special`` and cached).  Each output
+coefficient goes through the product-to-sum table of ``hypalg`` with the
+weight as a longdouble, so the contributions and their per-frequency sums
+are accumulated in 80-bit arithmetic and deep solver recursions stay at a
+few ulp.  Evaluation multiplies each term by the cached 1/Gamma(n*alpha+1),
+``special.rgamma``, so a deep term underflows to zero instead of overflowing.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import mpmath
 import numpy as np
 
 from .hypalg import HypExpr, _canonical, _product_terms
-from .special import gamma, tpow
+from .special import _gamma40, rgamma, tpow
 
 __all__ = [
     "FracSeries",
@@ -57,7 +59,7 @@ def _conv_weights(alpha: float, m: int, j: int) -> tuple[float, np.longdouble]:
         w: int | str = math.comb(m + j, m)  # classical binomial, exact
     else:
         with mpmath.workdps(40):
-            g = lambda k: mpmath.gamma(k * alpha + 1)
+            g = lambda k: _gamma40(k * alpha + 1.0)[0]
             w = mpmath.nstr(g(m + j) / (g(m) * g(j)), 25)
     return float(w), np.longdouble(w)
 
@@ -178,7 +180,7 @@ def series_eval(s: FracSeries, x: float, t: float) -> float:
         raise ValueError("series_eval: t must be >= 0")
     a = s.alpha
     terms = [
-        c(x) * tpow(t, n * a) / gamma(n * a + 1.0)
+        c(x) * tpow(t, n * a) * rgamma(n * a + 1.0)
         for n, c in enumerate(s.coeffs)
     ]
     return math.fsum(terms)

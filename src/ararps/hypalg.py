@@ -46,6 +46,7 @@ def _canonical(
     series products.  Equal frequencies on either side of a cell edge stay
     two terms, which is harmless pointwise.  Only exact zeros are dropped:
     a small coefficient on a high frequency can still be large pointwise.
+    A merged coefficient outside the double range raises OverflowError.
     """
     buckets: dict[tuple[Kind, int], tuple[float, list]] = {}
     for kind, freq, coeff in raw:
@@ -70,6 +71,9 @@ def _canonical(
             bucket[1].append(coeff)
     # cells are ordered like the frequencies in them
     kept = [(k, f, c) for (k, _), (f, vs) in sorted(buckets.items()) if (c := total(vs)) != 0.0]
+    for k, f, c in kept:
+        if not math.isfinite(c):
+            raise OverflowError(f"coefficient of {k.name.lower()}({f:g}*x) is not finite")
     return tuple(kept)
 
 

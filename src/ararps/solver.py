@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, fields
 from typing import Any, Sequence, Union
 
 from .fpseries import FracSeries, mul_coeff
 from .hypalg import HypExpr, Kind, _checked_freq
-from .special import frac_cosh_series, frac_sinh_series, tpow
+from .special import frac_cosh_series, frac_sinh_series, rgamma, tpow
 
 __all__ = [
     "Solution",
@@ -342,30 +343,21 @@ def exact_solution(
     the hyperbolic function of t^alpha / 3.
     """
     p = params or ExampleParams()
-    classical = abs(alpha - 1.0) < 1e-12
-    if example_id == 1:
-        mu = math.sqrt(p.v / p.w)
-        amp = 2.0 * p.lam ** 2 / (3.0 * p.v)
-        speed = p.lam * mu / 2.0
-        if classical:
-            return amp * (1.0 - math.cosh(mu * x / 2.0 - speed * t))
-        even = frac_cosh_series(alpha, speed, t, _K_EVAL)
-        odd = frac_sinh_series(alpha, speed, t, _K_EVAL)
-        _warn_tail(speed, t, alpha)
-        return -amp * (
-            math.cosh(mu * x / 2.0) * even - math.sinh(mu * x / 2.0) * odd - 1.0
-        )
-    if example_id in (2, 3):
-        if example_id == 2:
-            amp, rate = -(p.gamma ** 2 - 1.0), p.gamma
+    if example_id in (1, 2, 3):
+        # y = A * (cosh(q*x - r*t) - 1) at alpha = 1
+        if example_id == 1:
+            mu = math.sqrt(p.v / p.w)
+            A, q, r = -2.0 * p.lam ** 2 / (3.0 * p.v), mu / 2.0, p.lam * mu / 2.0
+        elif example_id == 2:
+            A, q, r = -(p.gamma ** 2 - 1.0), 1.0, p.gamma
         else:
-            amp, rate = 1.0, 1.0
-        if classical:
-            return amp * (math.cosh(x - rate * t) - 1.0)
-        even = frac_cosh_series(alpha, rate, t, _K_EVAL)
-        odd = frac_sinh_series(alpha, rate, t, _K_EVAL)
-        _warn_tail(rate, t, alpha)
-        return amp * (math.cosh(x) * even - math.sinh(x) * odd - 1.0)
+            A, q, r = 1.0, 1.0, 1.0
+        if abs(alpha - 1.0) < 1e-12:
+            return A * (math.cosh(q * x - r * t) - 1.0)
+        even = frac_cosh_series(alpha, r, t, _K_EVAL)
+        odd = frac_sinh_series(alpha, r, t, _K_EVAL)
+        _warn_tail(r, t, alpha)
+        return A * (math.cosh(q * x) * even - math.sinh(q * x) * odd - 1.0)
     if example_id == 4:
         ta = tpow(t, alpha)
         return math.sqrt(1.5) * math.sinh((x - ta) / 3.0)
@@ -373,15 +365,8 @@ def exact_solution(
 
 
 def _warn_tail(a: float, t: float, alpha: float) -> None:
-    import warnings
-
-    from .special import gamma as _gamma
-
     p = (2 * _K_EVAL + 2) * alpha
-    arg = p + 1.0
-    if arg > 170.0:
-        return  # tail term underflows well past double range
-    tail = abs(a) ** (2 * _K_EVAL + 2) * tpow(t, p) / _gamma(arg)
+    tail = abs(a) ** (2 * _K_EVAL + 2) * tpow(t, p) * rgamma(p + 1.0)
     if tail > 1e-14:
         warnings.warn(
             f"exact_solution: series tail ~{tail:.2e} above 1e-14 at order {_K_EVAL}",

@@ -16,7 +16,13 @@ from ararps.bench import (
     make_table,
     parse_csv,
 )
-from ararps.solver import ExampleParams, builtin_example, pde_spec_to_json, with_alpha
+from ararps.solver import (
+    ExampleParams,
+    builtin_example,
+    exact_solution,
+    pde_spec_to_json,
+    with_alpha,
+)
 
 
 class TestTableRow:
@@ -155,6 +161,15 @@ class TestCli:
         assert "c[6]" in res.output
         assert "y(0, 1)" in res.output
 
+    def test_solve_deep_order_evaluates(self):
+        # 1/Gamma(n*alpha + 1) underflows past n = 170 instead of overflowing
+        res = self.runner.invoke(
+            cli, ["solve", "--example", "4", "--order", "200", "--at", "0:1"]
+        )
+        assert res.exit_code == 0
+        y = float(res.output.rsplit("=", 1)[1])
+        assert abs(y - exact_solution(4, x=0.0, t=1.0)) < 1e-9
+
     def test_solve_from_json_spec(self, tmp_path):
         spec = with_alpha(builtin_example(4), 0.5)
         p = tmp_path / "spec.json"
@@ -168,9 +183,9 @@ class TestCli:
         [lambda d: d.pop("rhs"), lambda d: d["ic_a"][0].update(coeff="nan"),
          lambda d: d["ic_a"][0].update(freq=1e300), lambda d: d["rhs"].update(terms=[]),
          lambda d: d["rhs"]["terms"][0].update(child=3),
-         lambda d: d.update(rhs=_dx_chain(800))],
+         lambda d: d.update(rhs=_dx_chain(800)), lambda d: d["ic_a"][0].update(coeff=1e308)],
         ids=["missing-rhs", "nan-coeff", "huge-freq", "empty-add", "non-object-node",
-             "deep-ast"],
+             "deep-ast", "overflowing-coeff"],
     )
     def test_bad_spec_exit_2(self, tmp_path, edit):
         doc = json.loads(pde_spec_to_json(builtin_example(4)))

@@ -31,6 +31,11 @@ class TestCanonicalForm:
         assert HypExpr.zero().is_zero()
         assert HypExpr.const(0.0).is_zero()
 
+    def test_non_finite_coefficient_raises(self):
+        big = HypExpr.cosh(1.0, 1e308)
+        with pytest.raises(OverflowError, match=r"const\(0\*x\)"):
+            big * big
+
     def test_negative_freq_folded(self):
         assert HypExpr.cosh(-2.0, 3.0) == HypExpr.cosh(2.0, 3.0)
         assert HypExpr.sinh(-2.0, 3.0) == HypExpr.sinh(2.0, -3.0)

@@ -1,5 +1,8 @@
+import ast
 import math
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +10,14 @@ from ararps.special import (
     frac_cosh_series,
     frac_sinh_series,
     gamma,
+    rgamma,
     tpow,
+)
+
+# the series arguments n*alpha + 1 (n <= 24) of eight alphas, and k + 1/2
+_ARGS = sorted(
+    {n * a + 1.0 for a in (0.25, 0.3, 0.5, 0.6, 0.7, 0.75, 0.8, 1.0) for n in range(25)}
+    | {k + 0.5 for k in range(13)}
 )
 
 
@@ -16,10 +26,12 @@ class TestGamma:
         for n in range(1, 20):
             assert gamma(float(n)) == float(math.factorial(n - 1))
 
-    def test_half_integers_exact(self):
-        assert gamma(0.5) == math.sqrt(math.pi)
-        assert gamma(1.5) == 0.5 * math.sqrt(math.pi)
-        assert gamma(2.5) == 0.75 * math.sqrt(math.pi)
+    def test_correctly_rounded(self):
+        assert len(_ARGS) == 127
+        with mpmath.workdps(60):
+            for x in _ARGS:
+                assert gamma(x) == float(mpmath.gamma(x)), x
+                assert rgamma(x) == float(mpmath.rgamma(x)), x
 
     def test_agrees_with_math_gamma(self):
         for x in (0.3, 1.7, 4.123, 33.33):
@@ -34,6 +46,28 @@ class TestGamma:
     def test_overflow(self):
         with pytest.raises(OverflowError):
             gamma(172.0)
+
+    def test_reciprocal_underflows(self):
+        assert 0.0 < rgamma(172.0) < 2.0 ** -1022  # subnormal
+        assert rgamma(200.0) == 0.0
+        with pytest.raises(ValueError):
+            rgamma(0.0)
+
+
+def test_gamma_evaluated_only_in_special():
+    # every Gamma value comes from special's one cached source
+    users = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "ararps").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                name = f"{node.value.id}.{node.attr}"
+            elif isinstance(node, ast.ImportFrom):
+                name = " ".join(f"{node.module}.{a.name}" for a in node.names)
+            else:
+                continue
+            if any(g in name.split() for g in ("math.gamma", "math.factorial", "mpmath.gamma")):
+                users.add(path.name)
+    assert users == {"special.py"}
 
 
 class TestTpow:
