@@ -28,6 +28,7 @@ from .fpseries import (
     conv_weight,
     series_caputo,
     series_eval,
+    series_grid,
     series_mul,
     series_pow,
     series_rl_integral,

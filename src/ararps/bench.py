@@ -21,7 +21,7 @@ from typing import Sequence
 import click
 
 from .ara import ara_monomial, ara_numeric, verify_property
-from .fpseries import series_eval
+from .fpseries import series_eval, series_grid
 from .solver import (
     ExampleParams,
     builtin_example,
@@ -80,14 +80,12 @@ def make_table(
     if K is None:
         K = DEFAULT_TABLE_ORDER[example_id]
     spec = with_alpha(builtin_example(example_id, p), alpha)
-    series = solve(spec, K).series
-    rows = []
-    for t in t_values:
-        for x in x_values:
-            numeric = series_eval(series, x, t)
-            exact = exact_solution(example_id, p, alpha, x, t)
-            rows.append(TableRow(x, t, exact, numeric))
-    return rows
+    grid = series_grid(solve(spec, K).series, x_values, t_values)
+    return [
+        TableRow(x, t, exact_solution(example_id, p, alpha, x, t), grid[i][j])
+        for j, t in enumerate(t_values)
+        for i, x in enumerate(x_values)
+    ]
 
 
 def _fmt(v: float) -> str:
@@ -131,12 +129,12 @@ def emit_surface(
     written: list[Path] = []
     for alpha in alphas:
         spec = with_alpha(builtin_example(example_id, p), alpha)
-        series = solve(spec, K).series
+        grid = series_grid(solve(spec, K).series, x_values, t_values)
         path = out / f"surface_ex{example_id}_alpha{alpha:g}.dat"
         with open(path, "w") as fh:
-            for x in x_values:
-                for t in t_values:
-                    fh.write(f"{_fmt(x)} {_fmt(t)} {_fmt(series_eval(series, x, t))}\n")
+            for x, row in zip(x_values, grid):
+                for t, y in zip(t_values, row):
+                    fh.write(f"{_fmt(x)} {_fmt(t)} {_fmt(y)}\n")
         written.append(path)
     path = out / f"surface_ex{example_id}_exact.dat"
     with open(path, "w") as fh:
@@ -291,13 +289,18 @@ def cmd_table(example_id, alpha, K, gamma, v, w, lam, out_path, out_dir):
 @click.option("--s", "s", type=_POSITIVE, required=True)
 def cmd_transform(fn, order, s):
     """Numeric vs closed-form transform values for a monomial."""
-    m = re.fullmatch(r"t(?:\^([0-9.]+))?", fn.strip())
+    m = re.fullmatch(r"t(?:\^(\d+(?:\.\d*)?|\.\d+))?", fn.strip())
     if m is None:
         raise click.UsageError(f"cannot parse --fn {fn!r}; use forms like t, t^2, t^0.5")
     p = float(m.group(1)) if m.group(1) else 1.0
     n = int(order)
-    exact = ara_monomial(p, n, s)
-    numeric = ara_numeric(lambda t: t ** p, n, s)
+    try:
+        exact = ara_monomial(p, n, s)
+        numeric = ara_numeric(lambda t: t ** p, n, s)
+    except (OverflowError, ZeroDivisionError) as exc:  # Gamma(p+n)/s^(p+n-1) is not a double
+        raise click.UsageError(
+            f"transform of {fn} at s={s:g} is out of the double range: {exc}"
+        ) from None
     click.echo(f"exact   {exact:.15g}")
     click.echo(f"numeric {numeric:.15g}")
     click.echo(f"abs err {abs(exact - numeric):.3e}")

@@ -17,6 +17,9 @@ weight as a longdouble, so the contributions and their per-frequency sums
 are accumulated in 80-bit arithmetic and deep solver recursions stay at a
 few ulp.  Evaluation multiplies each term by the cached 1/Gamma(n*alpha+1),
 ``special.rgamma``, so a deep term underflows to zero instead of overflowing.
+It works on a grid: ``series_grid`` evaluates each c_n(x) once per x and each
+t^(n*alpha) once per t, but multiplies and sums a point's terms as for a lone
+point, so a grid value is the same double as ``series_eval`` there.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "series_pow",
     "series_spatial_diff",
     "series_eval",
+    "series_grid",
     "conv_weight",
 ]
 
@@ -175,12 +179,24 @@ def series_spatial_diff(s: FracSeries, m: int = 1) -> FracSeries:
     return FracSeries(s.alpha, tuple(c.diff(m) for c in s.coeffs))
 
 
-def series_eval(s: FracSeries, x: float, t: float) -> float:
-    if t < 0.0:
-        raise ValueError("series_eval: t must be >= 0")
+def series_grid(s: FracSeries, xs: Sequence[float], ts: Sequence[float]) -> list[list[float]]:
+    """y(x, t) on the grid xs x ts: one row per x, one column per t.
+
+    Each point is the fsum of c_n(x) * t^(n*alpha) * 1/Gamma(n*alpha+1),
+    multiplied left to right; only the factors are shared across the grid.
+    """
+    if any(t < 0.0 for t in ts):
+        raise ValueError("series_eval/series_grid: t must be >= 0")
     a = s.alpha
-    terms = [
-        c(x) * tpow(t, n * a) * rgamma(n * a + 1.0)
-        for n, c in enumerate(s.coeffs)
-    ]
-    return math.fsum(terms)
+    rg = [rgamma(n * a + 1.0) for n in range(len(s.coeffs))]
+    tw = [[tpow(t, n * a) for n in range(len(rg))] for t in ts]
+    rows = []
+    for x in xs:
+        cx = [c(x) for c in s.coeffs]
+        rows.append([math.fsum([c * p * r for c, p, r in zip(cx, w, rg)]) for w in tw])
+    return rows
+
+
+def series_eval(s: FracSeries, x: float, t: float) -> float:
+    """y(x, t) at one point: the 1x1 grid."""
+    return series_grid(s, [x], [t])[0][0]

@@ -16,11 +16,14 @@ from ararps.bench import (
     make_table,
     parse_csv,
 )
+from ararps.fpseries import series_eval
+from ararps.hypalg import HypExpr
 from ararps.solver import (
     ExampleParams,
     builtin_example,
     exact_solution,
     pde_spec_to_json,
+    solve,
     with_alpha,
 )
 
@@ -43,6 +46,12 @@ class TestMakeTable:
         rows = make_table(3, x_values=[0.0], t_values=[0.0])
         assert rows[0].exact == 0.0
         assert rows[0].numeric == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
+    def test_numeric_is_pointwise_eval(self, example_id):
+        series = solve(builtin_example(example_id), DEFAULT_TABLE_ORDER[example_id]).series
+        rows = make_table(example_id)
+        assert [r.numeric for r in rows] == [series_eval(series, r.x, r.t) for r in rows]
 
     def test_spot_values(self):
         d = {(r.x, r.t): r for r in make_table(1)}
@@ -106,6 +115,31 @@ class TestSurface:
             assert all(len(line.split()) == 3 for line in lines)
 
 
+    def test_bytes_match_pointwise_loop(self, tmp_path):
+        path = emit_surface(1, alphas=(0.5,), K=24, out_dir=tmp_path)[0]
+        series = solve(with_alpha(builtin_example(1), 0.5), 24).series
+        fmt = lambda v: f"{v:.15g}"
+        ref = "".join(
+            f"{fmt(x)} {fmt(t)} {fmt(series_eval(series, x, t))}\n"
+            for x in [-1.0 + i * 0.1 for i in range(21)]
+            for t in [i * 0.05 for i in range(21)]
+        )
+        assert path.read_bytes() == ref.encode()
+
+    def test_each_coefficient_evaluated_once_per_x(self, tmp_path, monkeypatch):
+        calls = 0
+        raw = HypExpr.__call__
+
+        def counted(self, x):
+            nonlocal calls
+            calls += 1
+            return raw(self, x)
+
+        monkeypatch.setattr(HypExpr, "__call__", counted)
+        emit_surface(1, alphas=(0.5,), K=24, out_dir=tmp_path)
+        assert calls == 21 * 25  # not 441 * 25: once per (x, n), shared by every t
+
+
 def _dx_chain(depth):
     node = {"node": "solution"}
     for _ in range(depth - 1):
@@ -133,9 +167,13 @@ class TestCli:
          ["solve", "--example", "1", "--v", "1e-20"],
          ["table", "--example", "1", "--order", "-2"],
          ["surface", "--example", "1", "--alpha", "0"],
-         ["transform", "--fn", "t", "--n", "1", "--s", "0"]],
+         ["transform", "--fn", "t", "--n", "1", "--s", "0"],
+         ["transform", "--fn", "t^200", "--n", "1", "--s", "1"],
+         ["transform", "--fn", "t^2", "--n", "1", "--s", "1e-300"],
+         ["transform", "--fn", "t^1.2.3", "--n", "1", "--s", "1"]],
         ids=["order", "alpha-0", "alpha-1.5", "negative-t", "v", "v-in-constant-cell",
-             "table-order", "surface-alpha", "s"],
+             "table-order", "surface-alpha", "s", "transform-overflow",
+             "transform-underflowing-s", "transform-bad-exponent"],
     )
     def test_bad_flag_exit_2(self, args):
         res = self.runner.invoke(cli, args)

@@ -8,12 +8,14 @@ from ararps.fpseries import (
     conv_weight,
     series_caputo,
     series_eval,
+    series_grid,
     series_mul,
     series_pow,
     series_rl_integral,
     series_spatial_diff,
 )
 from ararps.hypalg import HypExpr, Kind
+from ararps.solver import builtin_example, solve, with_alpha
 from ararps.special import gamma
 
 
@@ -181,3 +183,24 @@ class TestSpatialDiffAndEval:
     def test_eval_rejects_negative_t(self):
         with pytest.raises(ValueError):
             series_eval(FracSeries.constant(0.5, 1.0, 1), 0.0, -0.1)
+
+
+class TestGrid:
+    @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    def test_grid_equals_pointwise(self, example_id, alpha):
+        s = solve(with_alpha(builtin_example(example_id), alpha), 24).series
+        xs, ts = [-3.0, 0.0, 0.7, 5.0], [0.0, 1e-3, 0.5, 2.0]
+        grid = series_grid(s, xs, ts)
+        assert grid == [[series_eval(s, x, t) for t in ts] for x in xs]
+
+    def test_negative_t_anywhere_rejected(self):
+        s = FracSeries.constant(0.5, 1.0, 2)
+        for ts in ([-0.1], [0.0, 0.5, -1e-300], [-2.0, 1.0]):
+            with pytest.raises(ValueError):
+                series_grid(s, [0.0, 1.0], ts)
+
+    def test_empty_axes(self):
+        s = FracSeries.constant(0.5, 1.0, 2)
+        assert series_grid(s, [], [0.0, 1.0]) == []
+        assert series_grid(s, [0.0, 1.0], []) == [[], []]
