@@ -14,9 +14,10 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import click
 
@@ -203,6 +204,19 @@ def _out_dir(opt: str | None) -> Path:
     return Path(os.environ.get("ARARPS_OUTDIR", "."))
 
 
+@contextmanager
+def _usage_errors(prefix: str = "") -> Iterator[None]:
+    """Report what the library or the file system rejects as a usage error (exit 2).
+
+    The library raises ValueError for bad input and ArithmeticError for a
+    value outside the double range; OSError is a path given on the command line.
+    """
+    try:
+        yield
+    except (ValueError, ArithmeticError, OSError) as exc:
+        raise click.UsageError(f"{prefix}{exc}") from None
+
+
 _ALPHA = click.FloatRange(0.0, 1.0, min_open=True)
 _POSITIVE = click.FloatRange(0.0, min_open=True)
 
@@ -215,7 +229,7 @@ def cli() -> None:
 @cli.command("solve")
 @click.option("--example", "example_id", type=click.IntRange(1, 4), default=None,
               help="Built-in example id (1-4).")
-@click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
+@click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON problem specification file.")
 @click.option("--alpha", type=_ALPHA, help="Defaults to the spec's alpha (1 with --example).")
 @click.option("--order", "K", type=int, default=6, show_default=True)
@@ -229,31 +243,21 @@ def cmd_solve(example_id, spec_path, alpha, K, points, gamma, v, w, lam):
     """Print series coefficients (and point values) for a problem."""
     if (example_id is None) == (spec_path is None):
         raise click.UsageError("provide exactly one of --example or --spec")
-    if spec_path is not None:
-        try:
-            spec = pde_spec_from_json(Path(spec_path).read_text())
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise click.UsageError(f"bad spec {spec_path}: {exc!r}")
-    try:  # checks that depend on the problem, e.g. --order below the time order
-        if example_id is not None:  # alpha 1 unless --alpha
+    with _usage_errors(f"bad spec {spec_path}: " if spec_path else ""):
+        if spec_path is None:  # alpha 1 unless --alpha
             spec = builtin_example(example_id, ExampleParams(v=v, w=w, lam=lam, gamma=gamma))
+        else:
+            spec = pde_spec_from_json(Path(spec_path).read_text())
         if alpha is not None:
             spec = with_alpha(spec, alpha)
         result = solve(spec, K)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    except OverflowError as exc:  # a coefficient left the double range
-        where = f"bad spec {spec_path}: " if spec_path else ""
-        raise click.UsageError(f"{where}{exc}") from None
     for n, c in enumerate(result.series.coeffs):
         click.echo(f"c[{n}] = {c.render()}")
     for pt in points:
-        try:
+        with _usage_errors(f"bad point {pt!r} (expected x:t): "):
             xs, ts = pt.split(":")
             x, t = float(xs), float(ts)
             y = series_eval(result.series, x, t)
-        except ValueError:
-            raise click.UsageError(f"bad point {pt!r}; expected x:t with t >= 0")
         click.echo(f"y({x:g}, {t:g}) = {y:.15g}")
 
 
@@ -271,15 +275,12 @@ def cmd_solve(example_id, spec_path, alpha, K, points, gamma, v, w, lam):
 @click.option("--out-dir", type=click.Path(), default=None)
 def cmd_table(example_id, alpha, K, gamma, v, w, lam, out_path, out_dir):
     """Regenerate a benchmark error table as CSV."""
-    params = ExampleParams(v=v, w=w, lam=lam, gamma=gamma)
-    try:
-        rows = make_table(example_id, params, alpha, K)
-    except ValueError as exc:  # e.g. --order below the time order
-        raise click.UsageError(str(exc)) from None
     if out_path is None:
         suffix = f"_gamma{gamma:g}" if example_id == 2 else ""
         out_path = _out_dir(out_dir) / f"table_ex{example_id}{suffix}.csv"
-    emit_csv(rows, out_path)
+    with _usage_errors():
+        rows = make_table(example_id, ExampleParams(v=v, w=w, lam=lam, gamma=gamma), alpha, K)
+        emit_csv(rows, out_path)
     click.echo(f"wrote {len(rows)} rows to {out_path}")
 
 
@@ -294,13 +295,10 @@ def cmd_transform(fn, order, s):
         raise click.UsageError(f"cannot parse --fn {fn!r}; use forms like t, t^2, t^0.5")
     p = float(m.group(1)) if m.group(1) else 1.0
     n = int(order)
-    try:
+    # Gamma(p+n)/s^(p+n-1) may leave the double range
+    with _usage_errors(f"transform of {fn} at s={s:g}: "):
         exact = ara_monomial(p, n, s)
         numeric = ara_numeric(lambda t: t ** p, n, s)
-    except (OverflowError, ZeroDivisionError) as exc:  # Gamma(p+n)/s^(p+n-1) is not a double
-        raise click.UsageError(
-            f"transform of {fn} at s={s:g} is out of the double range: {exc}"
-        ) from None
     click.echo(f"exact   {exact:.15g}")
     click.echo(f"numeric {numeric:.15g}")
     click.echo(f"abs err {abs(exact - numeric):.3e}")
@@ -325,11 +323,9 @@ def cmd_validate():
 @click.option("--out-dir", type=click.Path(), default=None)
 def cmd_surface(example_id, alphas, K, gamma, out_dir):
     """Emit `x t y` surface data files (one per alpha, plus exact)."""
-    params = ExampleParams(gamma=gamma)
-    try:
-        paths = emit_surface(example_id, params, alphas, K, out_dir=_out_dir(out_dir))
-    except ValueError as exc:  # e.g. --order below the time order
-        raise click.UsageError(str(exc)) from None
+    with _usage_errors():
+        paths = emit_surface(example_id, ExampleParams(gamma=gamma), alphas, K,
+                             out_dir=_out_dir(out_dir))
     for p in paths:
         click.echo(f"wrote {p}")
 

@@ -185,8 +185,8 @@ def series_grid(s: FracSeries, xs: Sequence[float], ts: Sequence[float]) -> list
     Each point is the fsum of c_n(x) * t^(n*alpha) * 1/Gamma(n*alpha+1),
     multiplied left to right; only the factors are shared across the grid.
     """
-    if any(t < 0.0 for t in ts):
-        raise ValueError("series_eval/series_grid: t must be >= 0")
+    if not all(map(math.isfinite, chain(xs, ts))) or any(t < 0.0 for t in ts):
+        raise ValueError("series_eval/series_grid: x must be finite, t finite and >= 0")
     a = s.alpha
     rg = [rgamma(n * a + 1.0) for n in range(len(s.coeffs))]
     tw = [[tpow(t, n * a) for n in range(len(rg))] for t in ts]

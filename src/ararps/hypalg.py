@@ -31,6 +31,8 @@ class Kind(IntEnum):
 
 # for _canonical's loop: on CPython 3.11 each ``Kind.X`` lookup costs ~140 ns
 _CONST, _SINH = Kind.CONST, Kind.SINH
+# d/dx swaps cosh and sinh; a dict keeps the kinds Kind members (IntEnum sums are ints)
+_SWAP = {Kind.COSH: Kind.SINH, Kind.SINH: Kind.COSH}
 
 
 def _canonical(
@@ -132,16 +134,13 @@ class HypExpr:
     def diff(self, m: int = 1) -> "HypExpr":
         if m < 1:
             raise ValueError("diff order must be >= 1")
-        e = self
-        for _ in range(m):
-            out = []
-            for kind, freq, coeff in e.terms:
-                if kind is Kind.COSH:
-                    out.append((Kind.SINH, freq, coeff * freq))
-                elif kind is Kind.SINH:
-                    out.append((Kind.COSH, freq, coeff * freq))
-            e = HypExpr.of(out)
-        return e
+        out = []
+        for kind, freq, coeff in self.terms:
+            if kind is not _CONST:  # constants differentiate to zero
+                for _ in range(m):
+                    coeff *= freq
+                out.append((_SWAP[kind] if m % 2 else kind, freq, coeff))
+        return HypExpr.of(out)
 
     # -- queries ---------------------------------------------------------
 

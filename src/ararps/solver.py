@@ -471,17 +471,19 @@ def pde_spec_to_json(spec: PdeSpec) -> str:
 
 
 def pde_spec_from_json(text: str) -> PdeSpec:
-    """Parse a spec; malformed input raises ValueError, KeyError or TypeError."""
+    """Parse a spec; a malformed document (a missing key or a wrong type too) raises ValueError."""
     try:
         doc = json.loads(text)
+        _check_depth(doc["rhs"])
+        ic_b = _hyp_from_json(doc["ic_b"]) if "ic_b" in doc else None
+        return PdeSpec(
+            time_order=_integral(doc["time_order"]),
+            alpha=_finite(doc["alpha"]),
+            rhs=_ast_from_json(doc["rhs"]),
+            ic_a=_hyp_from_json(doc["ic_a"]),
+            ic_b=ic_b,
+        )
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
-    _check_depth(doc["rhs"])
-    ic_b = _hyp_from_json(doc["ic_b"]) if "ic_b" in doc else None
-    return PdeSpec(
-        time_order=_integral(doc["time_order"]),
-        alpha=_finite(doc["alpha"]),
-        rhs=_ast_from_json(doc["rhs"]),
-        ic_a=_hyp_from_json(doc["ic_a"]),
-        ic_b=ic_b,
-    )
+    except (LookupError, TypeError) as exc:
+        raise ValueError(f"malformed spec: {exc!r}") from None

@@ -1,9 +1,11 @@
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from ararps.bench import (
     DEFAULT_TABLE_ORDER,
@@ -147,6 +149,15 @@ def _dx_chain(depth):
     return node
 
 
+# (command, flag) pairs that take a float; --at-x / --at-t set one side of --at x:t
+_ADVERSARIAL_FLAGS = (
+    [("solve", f) for f in ("--alpha", "--gamma", "--v", "--w", "--lam", "--at-x", "--at-t")]
+    + [("table", f) for f in ("--alpha", "--gamma", "--v", "--w", "--lam")]
+    + [("surface", f) for f in ("--alpha", "--gamma")]
+    + [("transform", "--s")]
+)
+
+
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
@@ -170,15 +181,51 @@ class TestCli:
          ["transform", "--fn", "t", "--n", "1", "--s", "0"],
          ["transform", "--fn", "t^200", "--n", "1", "--s", "1"],
          ["transform", "--fn", "t^2", "--n", "1", "--s", "1e-300"],
-         ["transform", "--fn", "t^1.2.3", "--n", "1", "--s", "1"]],
+         ["transform", "--fn", "t^1.2.3", "--n", "1", "--s", "1"],
+         ["table", "--example", "2", "--gamma", "1e200", "--out", "{tmp}/t.csv"],
+         ["table", "--example", "1", "--lam", "1e200", "--out", "{tmp}/t.csv"],
+         ["surface", "--example", "2", "--gamma", "1e200", "--out-dir", "{tmp}"],
+         ["table", "--example", "1", "--out", "{tmp}/missing/x.csv"],
+         ["surface", "--example", "1", "--out-dir", "{tmp}/file"],
+         ["solve", "--spec", "{tmp}"],
+         ["solve", "--example", "1", "--at", "1:nan"]],
         ids=["order", "alpha-0", "alpha-1.5", "negative-t", "v", "v-in-constant-cell",
              "table-order", "surface-alpha", "s", "transform-overflow",
-             "transform-underflowing-s", "transform-bad-exponent"],
+             "transform-underflowing-s", "transform-bad-exponent", "table-gamma-overflow",
+             "table-lam-overflow", "surface-gamma-overflow", "table-out-missing-dir",
+             "surface-out-dir-is-file", "solve-spec-directory", "point-nan-t"],
     )
-    def test_bad_flag_exit_2(self, args):
-        res = self.runner.invoke(cli, args)
+    def test_bad_flag_exit_2(self, args, tmp_path):
+        (tmp_path / "file").write_text("")
+        res = self.runner.invoke(cli, [a.format(tmp=tmp_path) for a in args])
         assert res.exit_code == 2
         assert "Error:" in res.output
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command_flag=st.sampled_from(_ADVERSARIAL_FLAGS),
+        example=st.integers(1, 4),
+        order=st.integers(0, 30),
+        value=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e300, -1e300, 1e-300]),
+    )
+    def test_adversarial_flag_value_exit_0_or_2(self, command_flag, example, order, value):
+        # one flag set to an extreme float: a result or a usage error, never a traceback
+        command, flag = command_flag
+        if command == "transform":
+            args = ["transform", "--fn", "t^1.5", "--n", "2", "--s=1"]
+        else:
+            args = [command, "--example", str(example), "--order", str(order)]
+        if flag == "--at-x":
+            args.append(f"--at={value!r}:1")
+        elif flag == "--at-t":
+            args.append(f"--at=0:{value!r}")
+        else:
+            args.append(f"{flag}={value!r}")
+        with self.runner.isolated_filesystem():
+            res = self.runner.invoke(cli, args)
+        assert res.exit_code in (0, 2), (args, res.output, res.exception)
+        if command == "solve" and res.exit_code == 0:
+            assert "nan" not in res.output, args
 
     def test_solve_spec_keeps_its_alpha(self, tmp_path):
         # README's spec has alpha 0.5; --alpha overrides it only when given

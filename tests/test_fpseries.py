@@ -196,9 +196,13 @@ class TestGrid:
 
     def test_negative_t_anywhere_rejected(self):
         s = FracSeries.constant(0.5, 1.0, 2)
-        for ts in ([-0.1], [0.0, 0.5, -1e-300], [-2.0, 1.0]):
+        nan, inf = math.nan, math.inf
+        for xs, ts in (([0.0, 1.0], [-0.1]), ([0.0, 1.0], [0.0, 0.5, -1e-300]),
+                       ([0.0, 1.0], [-2.0, 1.0]), ([0.0, 1.0], [0.5, nan]),
+                       ([0.0, 1.0], [inf]), ([0.0, 1.0], [-inf, 1.0]),
+                       ([0.0, nan], [0.5]), ([inf, 1.0], [0.5]), ([-inf], [0.0])):
             with pytest.raises(ValueError):
-                series_grid(s, [0.0, 1.0], ts)
+                series_grid(s, xs, ts)
 
     def test_empty_axes(self):
         s = FracSeries.constant(0.5, 1.0, 2)

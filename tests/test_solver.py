@@ -492,6 +492,21 @@ class TestJsonSpecs:
         with pytest.raises(ValueError, match="integer"):
             pde_spec_from_json(_edited_spec(path, value))
 
+    @pytest.mark.parametrize(
+        "text",
+        [lambda: "[]", lambda: '{"time_order": 1}',
+         lambda: _edited_spec(("ic_a", 0, "kind"), "tanh"),
+         lambda: _edited_spec(("rhs", "terms", 0, "child"), 3),
+         lambda: _edited_spec(("ic_a",), 5), lambda: _edited_spec(("alpha",), [0.5]),
+         lambda: _edited_spec(("rhs", "terms"), {"node": "solution"})],
+        ids=["list-document", "missing-keys", "unknown-kind", "non-object-node",
+             "non-list-ic", "list-number", "object-terms"],
+    )
+    def test_malformed_document_raises_value_error(self, text):
+        # KeyError and TypeError inside the decoders surface as ValueError
+        with pytest.raises(ValueError):
+            pde_spec_from_json(text())
+
     def test_frequency_in_constant_cell_rejected(self):
         with pytest.raises(ValueError, match="2\\*\\*-31"):
             pde_spec_from_json(_edited_spec(("ic_a", 0, "freq"), 1e-10))
