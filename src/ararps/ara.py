@@ -88,8 +88,8 @@ def ara_numeric(f: Callable[[float], float], n: int, s: float) -> float:
     """
     if n not in (1, 2):
         raise ValueError("ara_numeric: transform order must be 1 or 2")
-    if s <= 0.0:
-        raise ValueError("ara_numeric: s must be positive")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"ara_numeric: s must be finite and positive, got {s!r}")
 
     def integrand(t: float) -> float:
         return t ** (n - 1) * math.exp(-s * t) * f(t)
@@ -113,8 +113,8 @@ def ara_monomial(p: float, n: int, s: float) -> float:
         raise ValueError("ara_monomial: exponent must be >= 0")
     if n not in (1, 2):
         raise ValueError("ara_monomial: transform order must be 1 or 2")
-    if s <= 0.0:
-        raise ValueError("ara_monomial: s must be positive")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"ara_monomial: s must be finite and positive, got {s!r}")
     return gamma(p + n) / s ** (p + n - 1.0)
 
 

@@ -218,7 +218,6 @@ def _usage_errors(prefix: str = "") -> Iterator[None]:
 
 
 _ALPHA = click.FloatRange(0.0, 1.0, min_open=True)
-_POSITIVE = click.FloatRange(0.0, min_open=True)
 
 
 @click.group()
@@ -236,8 +235,8 @@ def cli() -> None:
 @click.option("--at", "points", multiple=True,
               help="Evaluate at x:t (repeatable), e.g. --at 0:1.")
 @click.option("--gamma", type=float, default=2.0, show_default=True)
-@click.option("--v", type=_POSITIVE, default=1.0, show_default=True)
-@click.option("--w", type=_POSITIVE, default=1.0, show_default=True)
+@click.option("--v", type=float, default=1.0, show_default=True)
+@click.option("--w", type=float, default=1.0, show_default=True)
 @click.option("--lam", "--lambda", "lam", type=float, default=1.0, show_default=True)
 def cmd_solve(example_id, spec_path, alpha, K, points, gamma, v, w, lam):
     """Print series coefficients (and point values) for a problem."""
@@ -267,8 +266,8 @@ def cmd_solve(example_id, spec_path, alpha, K, points, gamma, v, w, lam):
 @click.option("--order", "K", type=int, default=None,
               help="Truncation order (defaults per example).")
 @click.option("--gamma", type=float, default=2.0, show_default=True)
-@click.option("--v", type=_POSITIVE, default=1.0, show_default=True)
-@click.option("--w", type=_POSITIVE, default=1.0, show_default=True)
+@click.option("--v", type=float, default=1.0, show_default=True)
+@click.option("--w", type=float, default=1.0, show_default=True)
 @click.option("--lam", "--lambda", "lam", type=float, default=1.0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="CSV path (defaults to table_exN[...].csv in the output dir).")
@@ -287,7 +286,7 @@ def cmd_table(example_id, alpha, K, gamma, v, w, lam, out_path, out_dir):
 @cli.command("transform")
 @click.option("--fn", required=True, help="Function of t; monomials like t^1.5.")
 @click.option("--n", "order", type=click.Choice(["1", "2"]), required=True)
-@click.option("--s", "s", type=_POSITIVE, required=True)
+@click.option("--s", "s", type=float, required=True)
 def cmd_transform(fn, order, s):
     """Numeric vs closed-form transform values for a monomial."""
     m = re.fullmatch(r"t(?:\^(\d+(?:\.\d*)?|\.\d+))?", fn.strip())

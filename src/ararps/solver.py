@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import Any, Sequence, Union
 
+import mpmath
+
 from .fpseries import FracSeries, mul_coeff
 from .hypalg import HypExpr, Kind, _checked_freq
-from .special import frac_cosh_series, frac_sinh_series, rgamma, tpow
+from .special import _mittag_leffler, tpow
 
 __all__ = [
     "Solution",
@@ -201,6 +202,8 @@ class ExampleParams:
     gamma: float = 2.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.v, self.w, self.lam, self.gamma))):
+            raise ValueError(f"example parameters must be finite: {self}")
         if self.v <= 0.0 or self.w <= 0.0:
             raise ValueError("v and w must be strictly positive")
 
@@ -263,6 +266,26 @@ def residual_check(spec: PdeSpec, result: SolveResult, n: int) -> HypExpr:
 # built-in benchmark problems
 
 
+def _wave(example_id: int, p: ExampleParams) -> tuple[float, float, float]:
+    """(A, q, r) of examples 1-3, each the wave y = A*(cosh(q*x - r*t) - 1) at alpha = 1."""
+    try:
+        if example_id == 1:
+            mu = math.sqrt(p.v / p.w)
+            A, q, r = -2.0 * p.lam ** 2 / (3.0 * p.v), mu / 2.0, p.lam * mu / 2.0
+        elif example_id == 2:
+            A, q, r = -(p.gamma ** 2 - 1.0), 1.0, p.gamma
+        elif example_id == 3:
+            A, q, r = 1.0, 1.0, 1.0
+        else:
+            raise ValueError(f"unknown example id {example_id!r}")
+        finite = math.isfinite(A * r)  # false too when A or r is not (0 * inf is NaN)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"example {example_id}: the wave's amplitude or speed overflows at {p}")
+    return A, q, r
+
+
 def builtin_example(example_id: int, params: ExampleParams | None = None) -> PdeSpec:
     """The four benchmark specs (alpha is set separately via dataclasses.replace
     or the ``alpha`` argument of the callers; default 1).
@@ -271,62 +294,27 @@ def builtin_example(example_id: int, params: ExampleParams | None = None) -> Pde
     2: D^{2a} y = y_xx + (y^2)_xx - (y y_xx)_xx    (Boussinesq)
     3: D^{2a} y = -(y^2)_xx + (y y_xx)_xx
     4: D^{a}  y = (y^3)_x - (y^3)_xxx
+
+    Examples 1-3 start from their wave (``_wave``) at t = 0.
     """
     p = params or ExampleParams()
     y = Solution()
-    if example_id == 1:
-        mu = math.sqrt(p.v / p.w)
-        amp = 2.0 * p.lam ** 2 / (3.0 * p.v)
-        rhs: OperatorAst = Add(
-            (
-                Scale(p.v, Dx(2, PowInt(2, y))),
-                Scale(-p.w, Dx(4, PowInt(2, y))),
-            )
-        )
-        ic_a = HypExpr.const(amp) + HypExpr.cosh(mu / 2.0, -amp)
-        ic_b = HypExpr.sinh(mu / 2.0, p.lam ** 3 / (3.0 * math.sqrt(p.v * p.w)))
-        return PdeSpec(2, 1.0, rhs, ic_a, ic_b)
-    if example_id == 2:
-        g = p.gamma
-        amp = -(g * g - 1.0)
-        rhs = Add(
-            (
-                Dx(2, y),
-                Dx(2, PowInt(2, y)),
-                Scale(-1.0, Dx(2, Mul(y, Dx(2, y)))),
-            )
-        )
-        ic_a = HypExpr.cosh(1.0, amp) + HypExpr.const(-amp)
-        ic_b = HypExpr.sinh(1.0, g * (g * g - 1.0))
-        return PdeSpec(2, 1.0, rhs, ic_a, ic_b)
-    if example_id == 3:
-        rhs = Add(
-            (
-                Scale(-1.0, Dx(2, PowInt(2, y))),
-                Dx(2, Mul(y, Dx(2, y))),
-            )
-        )
-        ic_a = HypExpr.cosh(1.0) + HypExpr.const(-1.0)
-        ic_b = HypExpr.sinh(1.0, -1.0)
-        return PdeSpec(2, 1.0, rhs, ic_a, ic_b)
     if example_id == 4:
-        rhs = Add(
-            (
-                Dx(1, PowInt(3, y)),
-                Scale(-1.0, Dx(3, PowInt(3, y))),
-            )
-        )
-        ic_a = HypExpr.sinh(1.0 / 3.0, math.sqrt(1.5))
-        return PdeSpec(1, 1.0, rhs, ic_a)
-    raise ValueError(f"unknown example id {example_id!r}")
+        rhs: OperatorAst = Add((Dx(1, PowInt(3, y)), Scale(-1.0, Dx(3, PowInt(3, y)))))
+        return PdeSpec(1, 1.0, rhs, HypExpr.sinh(1.0 / 3.0, math.sqrt(1.5)))
+    A, q, r = _wave(example_id, p)
+    if example_id == 1:
+        rhs = Add((Scale(p.v, Dx(2, PowInt(2, y))), Scale(-p.w, Dx(4, PowInt(2, y)))))
+    elif example_id == 2:
+        rhs = Add((Dx(2, y), Dx(2, PowInt(2, y)), Scale(-1.0, Dx(2, Mul(y, Dx(2, y))))))
+    else:
+        rhs = Add((Scale(-1.0, Dx(2, PowInt(2, y))), Dx(2, Mul(y, Dx(2, y)))))
+    ic_a = HypExpr.cosh(q, A) + HypExpr.const(-A)
+    return PdeSpec(2, 1.0, rhs, ic_a, HypExpr.sinh(q, -A * r))
 
 
 def with_alpha(spec: PdeSpec, alpha: float) -> PdeSpec:
     return PdeSpec(spec.time_order, alpha, spec.rhs, spec.ic_a, spec.ic_b)
-
-
-# truncation order of the fractional cosh/sinh-type series in exact_solution
-_K_EVAL = 60
 
 
 def exact_solution(
@@ -338,40 +326,27 @@ def exact_solution(
 ) -> float:
     """Closed-form benchmark solution.
 
-    Examples 1-3 are hyperbolic traveling waves built from the even/odd
-    fractional series factors (plain cosh/sinh at alpha = 1); example 4 is
-    the hyperbolic function of t^alpha / 3.
+    Examples 1-3 are the waves of ``_wave``.  Below alpha = 1, with
+    z = r*t^alpha and E_alpha the Mittag-Leffler function, the wave is
+    A*(e^(-qx)*E_alpha(z)/2 + e^(qx)*E_alpha(-z)/2 - 1), evaluated in mpmath
+    and rounded once; OverflowError if that is not finite.  Example 4 is the
+    hyperbolic function of t^alpha / 3.
     """
     p = params or ExampleParams()
-    if example_id in (1, 2, 3):
-        # y = A * (cosh(q*x - r*t) - 1) at alpha = 1
-        if example_id == 1:
-            mu = math.sqrt(p.v / p.w)
-            A, q, r = -2.0 * p.lam ** 2 / (3.0 * p.v), mu / 2.0, p.lam * mu / 2.0
-        elif example_id == 2:
-            A, q, r = -(p.gamma ** 2 - 1.0), 1.0, p.gamma
-        else:
-            A, q, r = 1.0, 1.0, 1.0
-        if abs(alpha - 1.0) < 1e-12:
-            return A * (math.cosh(q * x - r * t) - 1.0)
-        even = frac_cosh_series(alpha, r, t, _K_EVAL)
-        odd = frac_sinh_series(alpha, r, t, _K_EVAL)
-        _warn_tail(r, t, alpha)
-        return A * (math.cosh(q * x) * even - math.sinh(q * x) * odd - 1.0)
     if example_id == 4:
         ta = tpow(t, alpha)
         return math.sqrt(1.5) * math.sinh((x - ta) / 3.0)
-    raise ValueError(f"unknown example id {example_id!r}")
-
-
-def _warn_tail(a: float, t: float, alpha: float) -> None:
-    p = (2 * _K_EVAL + 2) * alpha
-    tail = abs(a) ** (2 * _K_EVAL + 2) * tpow(t, p) * rgamma(p + 1.0)
-    if tail > 1e-14:
-        warnings.warn(
-            f"exact_solution: series tail ~{tail:.2e} above 1e-14 at order {_K_EVAL}",
-            stacklevel=3,
-        )
+    A, q, r = _wave(example_id, p)
+    if abs(alpha - 1.0) < 1e-12:
+        return A * (math.cosh(q * x - r * t) - 1.0)
+    z = r * tpow(t, alpha)
+    with mpmath.workdps(40):
+        qx = mpmath.mpf(q) * x
+        y = float(A * ((mpmath.exp(-qx) * _mittag_leffler(alpha, z)
+                        + mpmath.exp(qx) * _mittag_leffler(alpha, -z)) / 2 - 1))
+    if not math.isfinite(y):
+        raise OverflowError(f"exact_solution: example {example_id} at x={x!r}, t={t!r} overflows")
+    return y
 
 
 # --------------------------------------------------------------------------

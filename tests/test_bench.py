@@ -188,18 +188,25 @@ class TestCli:
          ["table", "--example", "1", "--out", "{tmp}/missing/x.csv"],
          ["surface", "--example", "1", "--out-dir", "{tmp}/file"],
          ["solve", "--spec", "{tmp}"],
-         ["solve", "--example", "1", "--at", "1:nan"]],
+         ["solve", "--example", "1", "--at", "1:nan"],
+         ["transform", "--fn", "t^1.5", "--n", "2", "--s", "nan"],
+         ["transform", "--fn", "t^1.5", "--n", "2", "--s", "inf"],
+         ["solve", "--example", "1", "--lam", "nan"],
+         ["table", "--example", "2", "--gamma", "inf", "--out", "{tmp}/t.csv"]],
         ids=["order", "alpha-0", "alpha-1.5", "negative-t", "v", "v-in-constant-cell",
              "table-order", "surface-alpha", "s", "transform-overflow",
              "transform-underflowing-s", "transform-bad-exponent", "table-gamma-overflow",
              "table-lam-overflow", "surface-gamma-overflow", "table-out-missing-dir",
-             "surface-out-dir-is-file", "solve-spec-directory", "point-nan-t"],
+             "surface-out-dir-is-file", "solve-spec-directory", "point-nan-t", "s-nan",
+             "s-inf", "solve-lam-nan", "table-gamma-inf"],
     )
     def test_bad_flag_exit_2(self, args, tmp_path):
         (tmp_path / "file").write_text("")
         res = self.runner.invoke(cli, [a.format(tmp=tmp_path) for a in args])
         assert res.exit_code == 2
         assert "Error:" in res.output
+        if "1e200" in args:  # an overflowing parameter is named in the message
+            assert "1e+200" in res.output
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -224,7 +231,7 @@ class TestCli:
         with self.runner.isolated_filesystem():
             res = self.runner.invoke(cli, args)
         assert res.exit_code in (0, 2), (args, res.output, res.exception)
-        if command == "solve" and res.exit_code == 0:
+        if command in ("solve", "transform") and res.exit_code == 0:
             assert "nan" not in res.output, args
 
     def test_solve_spec_keeps_its_alpha(self, tmp_path):

@@ -1,8 +1,12 @@
+import itertools
 import json
 import math
 import re
+import time
+import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import ararps.solver
@@ -187,6 +191,20 @@ class TestSpecValidation:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ExampleParams(v=-1.0)
+
+    @pytest.mark.parametrize("name", ["v", "w", "lam", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_params_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            ExampleParams(**{name: value})
+
+    @pytest.mark.parametrize("ex,params", [(1, ExampleParams(lam=1e200)),
+                                           (1, ExampleParams(v=1e-300, lam=1e10)),
+                                           (2, ExampleParams(gamma=1e200))])
+    def test_overflowing_wave_names_example_and_values(self, ex, params):
+        for call in (lambda: builtin_example(ex, params), lambda: exact_solution(ex, params)):
+            with pytest.raises(ValueError, match=f"example {ex}.*{re.escape(repr(params))}"):
+                call()
 
 
 class TestTrivialDynamics:
@@ -444,6 +462,40 @@ class TestExactSolution:
         assert exact_solution(4, alpha=a, x=x, t=t) == pytest.approx(
             math.sqrt(1.5) * math.sinh((x - t ** a) / 3.0), rel=1e-14
         )
+
+    # (example, gamma) -> (A, q, r) of the wave A*(cosh(q*x - r*t) - 1), v = w = lam = 1
+    _WAVES = {(1, 2.0): (-2.0 / 3.0, 0.5, 0.5), (2, 2.0): (-3.0, 1.0, 2.0),
+              (2, 0.5): (0.75, 1.0, 0.5), (3, 2.0): (1.0, 1.0, 1.0)}
+
+    @staticmethod
+    def _even_odd(alpha, z):
+        # the even and odd halves of Sum_k z^k / Gamma(alpha*k + 1), to 1e-65
+        terms = [mpmath.mpf(1)]
+        while abs(terms[-1]) > mpmath.mpf(10) ** -65:
+            terms.append(z ** len(terms) * mpmath.rgamma(alpha * len(terms) + 1))
+        return mpmath.fsum(terms[::2]), mpmath.fsum(terms[1::2])
+
+    def test_examples_1_to_3_match_even_odd_reference(self):
+        # A*(cosh(qx)*even - sinh(qx)*odd - 1) in z = r*t^alpha at 70 digits, on
+        # the 24-row grid; no truncation warning may be raised
+        with warnings.catch_warnings(), mpmath.workdps(70):
+            warnings.simplefilter("error")
+            for ((ex, g), (A, q, r)), alpha, t in itertools.product(
+                self._WAVES.items(), ALPHAS, (0.25, 0.5, 0.75, 1.0)
+            ):
+                even, odd = self._even_odd(mpmath.mpf(alpha), r * mpmath.mpf(t) ** alpha)
+                for x in (0.0, 2.0, 4.0, 6.0, 8.0, 10.0):
+                    want = A * (mpmath.cosh(q * x) * even - mpmath.sinh(q * x) * odd - 1)
+                    got = exact_solution(ex, ExampleParams(gamma=g), alpha, x, t)
+                    # the floor is for example 2's exact zero at x = 2, t = 1, alpha = 1
+                    assert abs(got - want) <= 1e-13 * abs(want) + 1e-60, (ex, g, alpha, x, t, got)
+
+    def test_tiny_alpha_refused_promptly(self):
+        # the terms of E_alpha(1) stay near 1 at alpha = 1e-300: past the term cap
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            exact_solution(3, alpha=1e-300, x=0.0, t=1.0)
+        assert time.perf_counter() - start < 1.0
 
     def test_unknown_example(self):
         with pytest.raises(ValueError):

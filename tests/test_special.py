@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ararps.special import (
+    _mittag_leffler,
     frac_cosh_series,
     frac_sinh_series,
     gamma,
@@ -75,6 +76,21 @@ class TestTpow:
         assert tpow(0.0, 0.0) == 1.0
         assert tpow(0.0, 0.5) == 0.0
         assert tpow(2.0, 3.0) == 8.0
+
+
+class TestMittagLeffler:
+    @pytest.mark.parametrize("z", [-12.0, -3.0, 0.0, 0.5, 7.0])
+    def test_closed_forms(self, z):
+        # E_1(z) = e^z, E_1/2(z) = e^(z^2) erfc(-z); for z < 0 both sums cancel
+        with mpmath.workdps(40):
+            for alpha, want in ((1.0, mpmath.exp(z)),
+                                (0.5, mpmath.exp(z * z) * mpmath.erfc(-z))):
+                assert abs(_mittag_leffler(alpha, z) - want) <= 1e-22 * max(1, abs(want))
+
+    @pytest.mark.parametrize("alpha,z", [(1e-300, 1.0), (0.05, 2.0), (0.5, math.nan)])
+    def test_refused_past_the_term_cap(self, alpha, z):
+        with pytest.raises(ValueError):
+            _mittag_leffler(alpha, z)
 
 
 class TestHyperbolicSeries:
