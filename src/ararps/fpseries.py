@@ -10,16 +10,20 @@ c_n / Gamma(n*alpha + 1)) makes Caputo differentiation an exact index shift
 and matches the transform-space coefficients h_n = (n*alpha + 1) c_n.
 
 Products use the convolution weights Gamma(n*alpha+1) / (Gamma(m*alpha+1)
-Gamma(j*alpha+1)); the weights are correctly rounded (computed once from
-the 40-digit Gamma values of ``special`` and cached).  Each output
-coefficient goes through the product-to-sum table of ``hypalg`` with the
-weight as a longdouble, so the contributions and their per-frequency sums
-are accumulated in 80-bit arithmetic and deep solver recursions stay at a
-few ulp.  Evaluation multiplies each term by the cached 1/Gamma(n*alpha+1),
-``special.rgamma``, so a deep term underflows to zero instead of overflowing.
-It works on a grid: ``series_grid`` evaluates each c_n(x) once per x and each
-t^(n*alpha) once per t, but multiplies and sums a point's terms as for a lone
-point, so a grid value is the same double as ``series_eval`` there.
+Gamma(j*alpha+1)), correctly rounded from the 40-digit Gamma values of
+``special`` and cached.  Each output coefficient goes through the
+product-to-sum table of ``hypalg`` in doubles, and each of its buckets is
+one ``math.fsum``: correctly rounded, independent of the order of the
+contributions, and the same on every platform.  The error of a deep c_n
+comes from rounding the stored c_m it is built from, not from the sums:
+for example 4 at alpha = 1, exact sums of exact products drift from the
+closed form like the doubles do, about 6x an order.
+
+Evaluation multiplies each term by the cached 1/Gamma(n*alpha+1),
+``special.rgamma``, so a deep term underflows to zero instead of
+overflowing.  ``series_grid`` evaluates each c_n(x) once per x and each
+t^(n*alpha) once per t, but multiplies and sums a point's terms as for a
+lone point, so a grid value is the same double as ``series_eval`` there.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from itertools import chain
 from typing import Sequence
 
 import mpmath
-import numpy as np
 
 from .hypalg import HypExpr, _canonical, _product_terms
 from .special import _gamma40, rgamma, tpow
@@ -52,25 +55,17 @@ _ALPHA_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
-def _conv_weights(alpha: float, m: int, j: int) -> tuple[float, np.longdouble]:
-    """The weight rounded once to a double and once to a longdouble.
+def conv_weight(alpha: float, m: int, j: int) -> float:
+    """Gamma((m+j)a+1) / (Gamma(ma+1) Gamma(ja+1)), correctly rounded.
 
-    Both roundings come from the same exact value (an integer binomial, or
-    40 digits of mpmath), so the double is correctly rounded; rounding the
-    longdouble to a double instead would round twice.
+    An integer binomial at integer alpha; otherwise the 40-digit ratio of
+    ``special``'s Gamma values, rounded once.
     """
     if abs(alpha - round(alpha)) < _ALPHA_TOL:
-        w: int | str = math.comb(m + j, m)  # classical binomial, exact
-    else:
-        with mpmath.workdps(40):
-            g = lambda k: _gamma40(k * alpha + 1.0)[0]
-            w = mpmath.nstr(g(m + j) / (g(m) * g(j)), 25)
-    return float(w), np.longdouble(w)
-
-
-def conv_weight(alpha: float, m: int, j: int) -> float:
-    """Gamma((m+j)a+1) / (Gamma(ma+1) Gamma(ja+1)), correctly rounded."""
-    return _conv_weights(alpha, m, j)[0]
+        return float(math.comb(m + j, m))  # classical binomial, exact
+    with mpmath.workdps(40):
+        g = lambda k: _gamma40(k * alpha + 1.0)[0]
+        return float(g(m + j) / (g(m) * g(j)))
 
 
 @dataclass(frozen=True)
@@ -136,10 +131,6 @@ def series_rl_integral(s: FracSeries) -> FracSeries:
     return FracSeries(s.alpha, (HypExpr.zero(),) + s.coeffs)
 
 
-def _ld_total(vals: list) -> float:
-    return float(np.sum(np.array(vals, dtype=np.longdouble)))
-
-
 def mul_coeff(alpha: float, a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) -> HypExpr:
     """Coefficient n of the Cauchy product of the coefficient lists a and b.
 
@@ -147,10 +138,10 @@ def mul_coeff(alpha: float, a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) 
     coefficient at a time (the online product).
     """
     raw = chain.from_iterable(
-        _product_terms(a[m].terms, b[n - m].terms, _conv_weights(alpha, m, n - m)[1])
+        _product_terms(a[m].terms, b[n - m].terms, conv_weight(alpha, m, n - m))
         for m in range(n + 1)
     )
-    return HypExpr(_canonical(raw, _ld_total))
+    return HypExpr(_canonical(raw))
 
 
 def series_mul(s1: FracSeries, s2: FracSeries) -> FracSeries:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = ["Kind", "HypExpr"]
 
@@ -33,22 +33,26 @@ class Kind(IntEnum):
 _CONST, _SINH = Kind.CONST, Kind.SINH
 # d/dx swaps cosh and sinh; a dict keeps the kinds Kind members (IntEnum sums are ints)
 _SWAP = {Kind.COSH: Kind.SINH, Kind.SINH: Kind.COSH}
+# k1(a) * k2(b) = 0.5 * kind(a+b) + sign * kind(a-b), with (kind, sign) = _PRODUCT[k1, k2]
+_PRODUCT = {
+    (Kind.COSH, Kind.COSH): (Kind.COSH, 0.5),   # (cosh(a+b) + cosh(a-b))/2
+    (Kind.SINH, Kind.SINH): (Kind.COSH, -0.5),  # (cosh(a+b) - cosh(a-b))/2
+    (Kind.SINH, Kind.COSH): (Kind.SINH, 0.5),   # (sinh(a+b) + sinh(a-b))/2
+    (Kind.COSH, Kind.SINH): (Kind.SINH, -0.5),  # (sinh(a+b) - sinh(a-b))/2
+}
 
 
-def _canonical(
-    raw: Iterable[tuple[Kind, float, float]],
-    total: Callable[[list], float] = math.fsum,
-) -> tuple[tuple[Kind, float, float], ...]:
+def _canonical(raw: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, float, float], ...]:
     """Fold signs, merge contributions by frequency cell, drop exact zeros, sort.
 
     Contributions merge when kind and cell ``round(freq * 2**30)`` agree, so
     the merge is transitive and independent of term order.  A bucket keeps
-    the first frequency put into it and sums its contributions in insertion
-    order with ``total``: ``math.fsum`` by default, a longdouble sum for
-    series products.  Equal frequencies on either side of a cell edge stay
-    two terms, which is harmless pointwise.  Only exact zeros are dropped:
-    a small coefficient on a high frequency can still be large pointwise.
-    A merged coefficient outside the double range raises OverflowError.
+    the first frequency put into it; its coefficient is the ``math.fsum`` of
+    its contributions, correctly rounded whatever their order.  Equal
+    frequencies on either side of a cell edge stay two terms, which is
+    harmless pointwise.  Only exact zeros are dropped: a small coefficient on
+    a high frequency can still be large pointwise.  A bucket whose sum is not
+    finite, fsum's overflow and inf - inf errors included, raises OverflowError.
     """
     buckets: dict[tuple[Kind, int], tuple[float, list]] = {}
     for kind, freq, coeff in raw:
@@ -71,11 +75,16 @@ def _canonical(
             buckets[kind, cell] = (freq, [coeff])
         else:
             bucket[1].append(coeff)
-    # cells are ordered like the frequencies in them
-    kept = [(k, f, c) for (k, _), (f, vs) in sorted(buckets.items()) if (c := total(vs)) != 0.0]
-    for k, f, c in kept:
+    kept = []
+    for (k, _), (f, vs) in sorted(buckets.items()):  # cells are ordered like their frequencies
+        try:
+            c = math.fsum(vs)
+        except (OverflowError, ValueError):
+            c = math.nan
         if not math.isfinite(c):
             raise OverflowError(f"coefficient of {k.name.lower()}({f:g}*x) is not finite")
+        if c != 0.0:
+            kept.append((k, f, c))
     return tuple(kept)
 
 
@@ -190,28 +199,16 @@ def _product_terms(
 ) -> Iterator[tuple[Kind, float, float]]:
     """Raw product-to-sum expansion of (t1 * t2) scaled by ``weight``.
 
-    A ``np.longdouble`` weight makes every contribution a longdouble.
-
-    cosh a cosh b = (cosh(a+b) + cosh(a-b))/2
-    sinh a sinh b = (cosh(a+b) - cosh(a-b))/2
-    sinh a cosh b = (sinh(a+b) + sinh(a-b))/2
+    Each contribution is ``weight * (c1 * c2)``, so a product is bitwise commutative.
     """
     for k1, f1, c1 in t1:
         for k2, f2, c2 in t2:
-            c = weight * c1 * c2
-            if k1 is Kind.CONST:
+            c = weight * (c1 * c2)
+            if k1 is _CONST:
                 yield (k2, f2, c)
-            elif k2 is Kind.CONST:
+            elif k2 is _CONST:
                 yield (k1, f1, c)
-            elif k1 is Kind.COSH and k2 is Kind.COSH:
-                yield (Kind.COSH, f1 + f2, 0.5 * c)
-                yield (Kind.COSH, f1 - f2, 0.5 * c)
-            elif k1 is Kind.SINH and k2 is Kind.SINH:
-                yield (Kind.COSH, f1 + f2, 0.5 * c)
-                yield (Kind.COSH, f1 - f2, -0.5 * c)
-            elif k1 is Kind.SINH:  # sinh * cosh
-                yield (Kind.SINH, f1 + f2, 0.5 * c)
-                yield (Kind.SINH, f1 - f2, 0.5 * c)
-            else:  # cosh * sinh
-                yield (Kind.SINH, f2 + f1, 0.5 * c)
-                yield (Kind.SINH, f2 - f1, 0.5 * c)
+            else:
+                kind, sign = _PRODUCT[k1, k2]
+                yield (kind, f1 + f2, 0.5 * c)
+                yield (kind, f1 - f2, sign * c)

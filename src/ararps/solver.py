@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Sequence, Union
 
@@ -329,8 +330,9 @@ def exact_solution(
     Examples 1-3 are the waves of ``_wave``.  Below alpha = 1, with
     z = r*t^alpha and E_alpha the Mittag-Leffler function, the wave is
     A*(e^(-qx)*E_alpha(z)/2 + e^(qx)*E_alpha(-z)/2 - 1), evaluated in mpmath
-    and rounded once; OverflowError if that is not finite.  Example 4 is the
-    hyperbolic function of t^alpha / 3.
+    and rounded once; OverflowError if that is not finite, raised before the
+    cancelling E_alpha(-|z|) is summed when the E_alpha(|z|) half alone
+    decides it.  Example 4 is the hyperbolic function of t^alpha / 3.
     """
     p = params or ExampleParams()
     if example_id == 4:
@@ -341,9 +343,14 @@ def exact_solution(
         return A * (math.cosh(q * x - r * t) - 1.0)
     z = r * tpow(t, alpha)
     with mpmath.workdps(40):
-        qx = mpmath.mpf(q) * x
-        y = float(A * ((mpmath.exp(-qx) * _mittag_leffler(alpha, z)
-                        + mpmath.exp(qx) * _mittag_leffler(alpha, -z)) / 2 - 1))
+        qx = mpmath.mpf(q) * (x if z >= 0.0 else -x)
+        # the E_alpha(|z|) half first: E_alpha(-|z|) is in (0, 1] (it is completely
+        # monotone; Pollard 1948), so past this bound the other half cannot cancel it
+        half = A * mpmath.exp(-qx) * _mittag_leffler(alpha, abs(z)) / 2
+        if abs(half) > sys.float_info.max + abs(A) * (mpmath.exp(qx) / 2 + 1):
+            y = math.inf
+        else:
+            y = float(half + A * (mpmath.exp(qx) * _mittag_leffler(alpha, -abs(z)) / 2 - 1))
     if not math.isfinite(y):
         raise OverflowError(f"exact_solution: example {example_id} at x={x!r}, t={t!r} overflows")
     return y

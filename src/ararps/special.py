@@ -48,7 +48,8 @@ def rgamma(x: float) -> float:
 
 
 # E_alpha(z) is summed until a term is _ML_DIGITS digits below 1, at _ML_DIGITS
-# digits above its largest term; more than _ML_MAX_TERMS terms are refused
+# digits above its largest term when z < 0 (and 5 more when z >= 0); more than
+# _ML_MAX_TERMS terms are refused
 _ML_DIGITS, _ML_MAX_TERMS = 25, 5000
 
 
@@ -58,8 +59,9 @@ def _mittag_leffler(alpha: float, z: float) -> mpmath.mpf:
 
     log|term k| is concave in k (lgamma is convex), so the terms rise to one
     peak, at least term 0 = 1, and then fall for good: a term 25 digits below 1
-    is past the peak and 25 digits below it.  The terms of E_alpha(-z) cancel,
-    hence the working precision.  ValueError, before summing, past the cap.
+    is past the peak and 25 digits below it.  The terms for z < 0 cancel, hence
+    the working precision there; for z >= 0 they are all positive, and their
+    sum is at least 1.  ValueError, before summing, past the cap.
     """
     if not math.isfinite(z):
         raise ValueError(f"Mittag-Leffler: argument must be finite, got {z!r}")
@@ -71,16 +73,19 @@ def _mittag_leffler(alpha: float, z: float) -> mpmath.mpf:
         if n > _ML_MAX_TERMS:
             raise ValueError(f"Mittag-Leffler E_alpha(z) at alpha={alpha!r}, z={z!r} "
                              f"needs more than {_ML_MAX_TERMS} terms")
-    with mpmath.workdps(_ML_DIGITS + math.ceil(peak / math.log(10.0))):
+    with mpmath.workdps(_ML_DIGITS + (5 if z >= 0.0 else math.ceil(peak / math.log(10.0)))):
         a, x = mpmath.mpf(alpha), mpmath.mpf(z)
         return mpmath.fsum(x ** k * mpmath.rgamma(a * k + 1) for k in range(n))
 
 
 def tpow(t: float, p: float) -> float:
-    """t**p with the 0**0 = 1 convention used by every series evaluation."""
+    """t**p with the 0**0 = 1 convention of every series evaluation; OverflowError names t, p."""
     if t == 0.0:
         return 1.0 if p == 0.0 else 0.0
-    return t ** p
+    try:
+        return t ** p
+    except OverflowError:
+        raise OverflowError(f"t**p overflows at t={t!r}, p={p!r}") from None
 
 
 def _frac_half(alpha: float, a: float, t: float, K: int, first: int) -> float:

@@ -31,6 +31,11 @@ def _random_series(rng, alpha, K):
     return FracSeries(alpha, tuple(coeffs))
 
 
+def _square(coeff):
+    s = FracSeries(0.5, (coeff,))
+    return series_mul(s, s)
+
+
 class TestConvWeight:
     def test_classical_is_binomial(self):
         for m in range(8):
@@ -122,15 +127,25 @@ class TestMul:
         assert series_mul(s1, s2).order == 2
 
     def test_mul_commutes(self):
+        # bitwise: the contributions are the same doubles and fsum ignores their order
         rng = random.Random(3)
-        s1 = _random_series(rng, 0.6, 4)
-        s2 = _random_series(rng, 0.6, 4)
-        p1, p2 = series_mul(s1, s2), series_mul(s2, s1)
-        for c1, c2 in zip(p1.coeffs, p2.coeffs):
-            assert len(c1.terms) == len(c2.terms)
-            for (k1, f1, v1), (k2, f2, v2) in zip(c1.terms, c2.terms):
-                assert (k1, f1) == (k2, f2)
-                assert v1 == pytest.approx(v2, rel=1e-13, abs=1e-13)
+        for _ in range(200):
+            s1 = _random_series(rng, 0.6, 4)
+            s2 = _random_series(rng, 0.6, 4)
+            p1, p2 = series_mul(s1, s2), series_mul(s2, s1)
+            assert [c.terms for c in p1.coeffs] == [c.terms for c in p2.coeffs]
+
+    @pytest.mark.parametrize(
+        "overflow",
+        [lambda: HypExpr.const(1e308) + HypExpr.const(1e308),
+         lambda: _square(HypExpr.cosh(1.0, 1e200) + HypExpr.sinh(1.0, 1e200)),
+         lambda: _square(HypExpr.cosh(1.0, 1e200))],
+        ids=["add", "cosh-plus-sinh-squared", "cosh-squared"],
+    )
+    def test_overflowing_coefficient_named(self, overflow):
+        # fsum's own "intermediate overflow" and "-inf + inf" errors included
+        with pytest.raises(OverflowError, match="is not finite"):
+            overflow()
 
     def test_pointwise_agreement_with_tail_bound(self):
         rng = random.Random(4)

@@ -268,6 +268,15 @@ class TestCoefficientPatterns:
             else:
                 _assert_expr(res.series.coeffs[n], HypExpr.cosh(f, -mag))
 
+    def test_example_4_accuracy_envelope(self):
+        # c_n = (-1/3)^n sqrt(1.5) sinh^(n)(x/3); the doubles lose about 6x an order
+        # from rounding the stored c_m, 2.3e-5 by n = 20
+        x = 0.7
+        coeffs = solve(builtin_example(4), 20).series.coeffs
+        for n, c in enumerate(coeffs):
+            want = (-1.0 / 3.0) ** n * math.sqrt(1.5) * (math.cosh if n % 2 else math.sinh)(x / 3.0)
+            assert c(x) == pytest.approx(want, rel=1e-4), n
+
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_example_4_fractional_weight_dependence(self, alpha):
         # the cubic nonlinearity keeps base-frequency convolution terms, so
@@ -496,6 +505,20 @@ class TestExactSolution:
         with pytest.raises(ValueError):
             exact_solution(3, alpha=1e-300, x=0.0, t=1.0)
         assert time.perf_counter() - start < 1.0
+
+    def test_overflow_found_before_the_cancelling_half(self, monkeypatch):
+        # E_alpha(-|z|) is in (0, 1], so E_alpha(30) alone decides the overflow
+        args = []
+        real = ararps.solver._mittag_leffler
+
+        def spy(alpha, z):
+            args.append(z)
+            return real(alpha, z)
+
+        monkeypatch.setattr(ararps.solver, "_mittag_leffler", spy)
+        with pytest.raises(OverflowError, match="example 2"):
+            exact_solution(2, ExampleParams(gamma=30.0), 0.5, 0.0, 1.0)
+        assert args and all(z >= 0.0 for z in args)
 
     def test_unknown_example(self):
         with pytest.raises(ValueError):

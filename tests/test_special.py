@@ -77,6 +77,10 @@ class TestTpow:
         assert tpow(0.0, 0.5) == 0.0
         assert tpow(2.0, 3.0) == 8.0
 
+    def test_overflow_names_t_and_p(self):
+        with pytest.raises(OverflowError, match=r"t=1e\+300, p=2\.0"):
+            tpow(1e300, 2.0)
+
 
 class TestMittagLeffler:
     @pytest.mark.parametrize("z", [-12.0, -3.0, 0.0, 0.5, 7.0])
