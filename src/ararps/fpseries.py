@@ -11,10 +11,12 @@ and matches the transform-space coefficients h_n = (n*alpha + 1) c_n.
 
 Products use the convolution weights Gamma(n*alpha+1) / (Gamma(m*alpha+1)
 Gamma(j*alpha+1)), correctly rounded from the 40-digit Gamma values of
-``special`` and cached.  Each output coefficient goes through the
-product-to-sum table of ``hypalg`` in doubles, and each of its buckets is
-one ``math.fsum``: correctly rounded, independent of the order of the
-contributions, and the same on every platform.  The error of a deep c_n
+``special`` and cached.  Each output coefficient is one call of the
+product-to-sum kernel ``hypalg._products`` in doubles, and each of its
+frequency cells is one ``math.fsum``: correctly rounded, independent of
+the order of the contributions, and the same on every platform.  A square
+takes each pair (m, n-m), m < n-m, once at twice the weight, which gives
+the same sums.  The error of a deep c_n
 comes from rounding the stored c_m it is built from, not from the sums:
 for example 4 at alpha = 1, exact sums of exact products drift from the
 closed form like the doubles do, about 6x an order.
@@ -36,7 +38,7 @@ from typing import Sequence
 
 import mpmath
 
-from .hypalg import HypExpr, _canonical, _product_terms
+from .hypalg import HypExpr, _products
 from .special import _gamma40, rgamma, tpow
 
 __all__ = [
@@ -137,11 +139,18 @@ def mul_coeff(alpha: float, a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) 
     Reads only a[0..n] and b[0..n], so a caller can extend both lists one
     coefficient at a time (the online product).
     """
-    raw = chain.from_iterable(
-        _product_terms(a[m].terms, b[n - m].terms, conv_weight(alpha, m, n - m))
-        for m in range(n + 1)
-    )
-    return HypExpr(_canonical(raw))
+    if a is not b:
+        return HypExpr(_products(
+            (a[m].terms, b[n - m].terms, conv_weight(alpha, m, n - m)) for m in range(n + 1)
+        ))
+    # a square: pair (m, n-m) and its mirror give the same contributions, so
+    # take it once at twice the weight (fsum([x, x]) == fsum([2x]), and the
+    # doubling is exact away from subnormals), then the middle pair once
+    pairs = [(a[m].terms, a[n - m].terms, 2.0 * conv_weight(alpha, m, n - m))
+             for m in range((n + 1) // 2)]
+    if n % 2 == 0:
+        pairs.append((a[n // 2].terms, a[n // 2].terms, conv_weight(alpha, n // 2, n // 2)))
+    return HypExpr(_products(pairs))
 
 
 def series_mul(s1: FracSeries, s2: FracSeries) -> FracSeries:

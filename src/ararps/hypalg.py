@@ -7,16 +7,21 @@ Expressions are kept in a canonical form: terms sorted by (kind, frequency),
 contributions merged when their frequencies fall in the same cell
 ``round(freq * 2**30)`` (cell 0 is the constant term), and terms whose
 coefficients sum to exactly zero dropped.  Nothing else is pruned.
-``_product_terms`` and ``_canonical`` are the one product-to-sum kernel;
-``fpseries`` products use them too.
+
+``_products`` is the one product-to-sum kernel; ``fpseries`` products use
+it too.  It buckets contributions per kind by their exact frequency, and
+``_merge`` then folds signs, maps each distinct frequency to its cell and
+sums each cell with one ``math.fsum``.  ``_canonical`` (for ``of``, ``+``
+and ``diff``) is the same bucketing of given terms followed by ``_merge``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = ["Kind", "HypExpr"]
 
@@ -29,54 +34,121 @@ class Kind(IntEnum):
     SINH = 2
 
 
-# for _canonical's loop: on CPython 3.11 each ``Kind.X`` lookup costs ~140 ns
-_CONST, _SINH = Kind.CONST, Kind.SINH
+# module aliases: on CPython 3.11 each ``Kind.X`` lookup costs ~140 ns
+_CONST, _COSH, _SINH = Kind.CONST, Kind.COSH, Kind.SINH
 # d/dx swaps cosh and sinh; a dict keeps the kinds Kind members (IntEnum sums are ints)
-_SWAP = {Kind.COSH: Kind.SINH, Kind.SINH: Kind.COSH}
-# k1(a) * k2(b) = 0.5 * kind(a+b) + sign * kind(a-b), with (kind, sign) = _PRODUCT[k1, k2]
-_PRODUCT = {
-    (Kind.COSH, Kind.COSH): (Kind.COSH, 0.5),   # (cosh(a+b) + cosh(a-b))/2
-    (Kind.SINH, Kind.SINH): (Kind.COSH, -0.5),  # (cosh(a+b) - cosh(a-b))/2
-    (Kind.SINH, Kind.COSH): (Kind.SINH, 0.5),   # (sinh(a+b) + sinh(a-b))/2
-    (Kind.COSH, Kind.SINH): (Kind.SINH, -0.5),  # (sinh(a+b) - sinh(a-b))/2
-}
+_SWAP = {_COSH: _SINH, _SINH: _COSH}
+
+
+def _products(pairs: Iterable[tuple[tuple, tuple, float]]) -> tuple[tuple[Kind, float, float], ...]:
+    """Canonical sum over ``(t1, t2, w)`` of the product t1 * t2 scaled by w.
+
+    Product to sum: w * c1 k1(a) * c2 k2(b) = h kind(a+b) +- h kind(a-b) with
+    h = w*(c1*c2)/2, where kind is cosh when k1 == k2 and sinh otherwise,
+    and the sign is + for cosh*cosh and sinh*cosh, - for sinh*sinh and
+    cosh*sinh.  Each contribution is ``w * (c1 * c2)``, halved for two
+    non-constant factors, so a product is bitwise commutative.  Nonzero
+    contributions are bucketed per kind by their exact frequency, in order;
+    ``_merge`` does the rest.
+    """
+    const: list[float] = []
+    cosh: defaultdict[float, list[float]] = defaultdict(list)
+    sinh: defaultdict[float, list[float]] = defaultdict(list)
+    for t1, t2, w in pairs:
+        c2 = None
+        cosh2, sinh2 = [], []
+        for k, f, c in t2:
+            if k is _COSH:
+                cosh2.append((f, c))
+            elif k is _SINH:
+                sinh2.append((f, c))
+            else:
+                c2 = c
+        for k1, f1, c1 in t1:
+            if k1 is _CONST:
+                if c2 is not None and (v := w * (c1 * c2)):
+                    const.append(v)
+                for f, c in cosh2:
+                    if v := w * (c1 * c):
+                        cosh[f].append(v)
+                for f, c in sinh2:
+                    if v := w * (c1 * c):
+                        sinh[f].append(v)
+                continue
+            same, other = (cosh, sinh) if k1 is _COSH else (sinh, cosh)
+            if c2 is not None and (v := w * (c1 * c2)):
+                same[f1].append(v)
+            for f, c in cosh2:
+                if h := 0.5 * (w * (c1 * c)):
+                    same[f1 + f].append(h)
+                    same[f1 - f].append(h)
+            for f, c in sinh2:
+                if h := 0.5 * (w * (c1 * c)):
+                    other[f1 + f].append(h)
+                    other[f1 - f].append(-h)
+    return _merge(const, cosh, sinh)
 
 
 def _canonical(raw: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, float, float], ...]:
-    """Fold signs, merge contributions by frequency cell, drop exact zeros, sort.
-
-    Contributions merge when kind and cell ``round(freq * 2**30)`` agree, so
-    the merge is transitive and independent of term order.  A bucket keeps
-    the first frequency put into it; its coefficient is the ``math.fsum`` of
-    its contributions, correctly rounded whatever their order.  Equal
-    frequencies on either side of a cell edge stay two terms, which is
-    harmless pointwise.  Only exact zeros are dropped: a small coefficient on
-    a high frequency can still be large pointwise.  A bucket whose sum is not
-    finite, fsum's overflow and inf - inf errors included, raises OverflowError.
-    """
-    buckets: dict[tuple[Kind, int], tuple[float, list]] = {}
+    """Canonical form of a raw list of terms: bucket by exact frequency, then ``_merge``."""
+    const: list[float] = []
+    cosh: defaultdict[float, list[float]] = defaultdict(list)
+    sinh: defaultdict[float, list[float]] = defaultdict(list)
     for kind, freq, coeff in raw:
-        if coeff == 0.0:
+        if not coeff:
             continue
-        if freq < 0.0:
-            # cosh is even, sinh is odd
-            freq = -freq
-            if kind is _SINH:
-                coeff = -coeff
-        cell = round(freq * _CELLS)
-        if cell == 0:
-            if kind is _SINH:
-                continue  # sinh(0) == 0
-            kind, freq = _CONST, 0.0
-        elif kind is _CONST:
+        if kind is not _CONST:
+            (cosh if kind is _COSH else sinh)[freq].append(coeff)
+        elif round(freq * _CELLS):
             raise ValueError("CONST term with nonzero frequency")
-        bucket = buckets.get((kind, cell))
-        if bucket is None:
-            buckets[kind, cell] = (freq, [coeff])
         else:
-            bucket[1].append(coeff)
+            const.append(coeff)
+    return _merge(const, cosh, sinh)
+
+
+def _merge(
+    const: list[float], cosh: dict[float, list[float]], sinh: dict[float, list[float]]
+) -> tuple[tuple[Kind, float, float], ...]:
+    """Fold signs, merge frequencies by cell, sum each cell once, drop exact zeros, sort.
+
+    ``cosh`` and ``sinh`` map each exact frequency to its nonzero
+    contributions, in the order the frequencies first got one.  Frequencies
+    merge when kind and cell ``round(freq * 2**30)`` agree, so the merge is
+    transitive and independent of term order; cosh in cell 0 is the constant
+    term, sinh there is zero.  A cell keeps its first frequency, made
+    positive; its coefficient is the ``math.fsum`` of its contributions,
+    correctly rounded whatever their order.  Equal frequencies on either side
+    of a cell edge stay two terms, which is harmless pointwise.  Only exact
+    zeros are dropped: a small coefficient on a high frequency can still be
+    large pointwise.  A cell whose sum is not finite, fsum's overflow and
+    inf - inf errors included, raises OverflowError.
+    """
+    cosh_cells: dict[int, tuple[float, list[float]]] = {}
+    sinh_cells: dict[int, tuple[float, list[float]]] = {}
+    for out, freqs, odd in ((cosh_cells, cosh, False), (sinh_cells, sinh, True)):
+        for f, vs in freqs.items():
+            cell = round(f * _CELLS)
+            if cell < 0:
+                # cosh is even, sinh is odd
+                cell, f = -cell, -f
+                if odd:
+                    vs = [-v for v in vs]
+            if not cell:
+                if not odd:
+                    const += vs
+                continue
+            got = out.get(cell)
+            if got is None:
+                out[cell] = (f, vs)
+            else:
+                got[1].extend(vs)
+    buckets = [(_CONST, 0.0, const)] if const else []
+    for kind, out in ((_COSH, cosh_cells), (_SINH, sinh_cells)):
+        for cell in sorted(out):  # cells are ordered like their frequencies
+            f, vs = out[cell]
+            buckets.append((kind, f, vs))
     kept = []
-    for (k, _), (f, vs) in sorted(buckets.items()):  # cells are ordered like their frequencies
+    for k, f, vs in buckets:
         try:
             c = math.fsum(vs)
         except (OverflowError, ValueError):
@@ -111,20 +183,20 @@ class HypExpr:
 
     @staticmethod
     def const(c: float) -> "HypExpr":
-        return HypExpr.of([(Kind.CONST, 0.0, float(c))])
+        return HypExpr.of([(_CONST, 0.0, float(c))])
 
     @staticmethod
     def cosh(freq: float, coeff: float = 1.0) -> "HypExpr":
-        return HypExpr.of([(Kind.COSH, _checked_freq(float(freq)), float(coeff))])
+        return HypExpr.of([(_COSH, _checked_freq(float(freq)), float(coeff))])
 
     @staticmethod
     def sinh(freq: float, coeff: float = 1.0) -> "HypExpr":
-        return HypExpr.of([(Kind.SINH, _checked_freq(float(freq)), float(coeff))])
+        return HypExpr.of([(_SINH, _checked_freq(float(freq)), float(coeff))])
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "HypExpr") -> "HypExpr":
-        return HypExpr.of(list(self.terms) + list(other.terms))
+        return HypExpr.of(self.terms + other.terms)
 
     def __sub__(self, other: "HypExpr") -> "HypExpr":
         return self + (-other)
@@ -138,7 +210,7 @@ class HypExpr:
         return HypExpr(tuple((k, f, c * factor) for k, f, c in self.terms))
 
     def __mul__(self, other: "HypExpr") -> "HypExpr":
-        return HypExpr.of(_product_terms(self.terms, other.terms, 1.0))
+        return HypExpr(_products([(self.terms, other.terms, 1.0)]))
 
     def diff(self, m: int = 1) -> "HypExpr":
         if m < 1:
@@ -156,9 +228,9 @@ class HypExpr:
     def __call__(self, x: float) -> float:
         vals = []
         for kind, freq, coeff in self.terms:
-            if kind is Kind.CONST:
+            if kind is _CONST:
                 vals.append(coeff)
-            elif kind is Kind.COSH:
+            elif kind is _COSH:
                 vals.append(coeff * math.cosh(freq * x))
             else:
                 vals.append(coeff * math.sinh(freq * x))
@@ -176,10 +248,10 @@ class HypExpr:
             return "0"
         parts: list[str] = []
         for kind, freq, coeff in self.terms:
-            if kind is Kind.CONST:
+            if kind is _CONST:
                 body = f"{abs(coeff):.6g}"
             else:
-                name = "cosh" if kind is Kind.COSH else "sinh"
+                name = "cosh" if kind is _COSH else "sinh"
                 arg = "x" if freq == 1.0 else f"{freq:.6g}*x"
                 body = f"{abs(coeff):.6g}*{name}({arg})"
             if not parts:
@@ -190,25 +262,3 @@ class HypExpr:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def _product_terms(
-    t1: Iterable[tuple[Kind, float, float]],
-    t2: Iterable[tuple[Kind, float, float]],
-    weight: float,
-) -> Iterator[tuple[Kind, float, float]]:
-    """Raw product-to-sum expansion of (t1 * t2) scaled by ``weight``.
-
-    Each contribution is ``weight * (c1 * c2)``, so a product is bitwise commutative.
-    """
-    for k1, f1, c1 in t1:
-        for k2, f2, c2 in t2:
-            c = weight * (c1 * c2)
-            if k1 is _CONST:
-                yield (k2, f2, c)
-            elif k2 is _CONST:
-                yield (k1, f1, c)
-            else:
-                kind, sign = _PRODUCT[k1, k2]
-                yield (kind, f1 + f2, 0.5 * c)
-                yield (kind, f1 - f2, sign * c)

@@ -6,9 +6,9 @@ The engine runs the t-space coefficient recursion
 
 which is what the transform-space limit extraction lim s^{k*alpha+1} G2 Res_k = 0
 isolates order by order.  Coefficient n of every operator node depends only
-on c_0..c_n, so ``solve`` runs the recursion in one pass: each AST node
-caches the coefficients it has computed, and order n computes only
-coefficient n of each node from its children's caches (the online, or
+on c_0..c_n, so ``solve`` runs the recursion in one pass: each distinct
+AST subtree caches the coefficients it has computed, and order n computes
+only coefficient n of each from its children's caches (the online, or
 "relaxed", Cauchy product; van der Hoeven, JSC 2002).  ``apply_operator``
 runs the same engine on a given series.
 
@@ -56,6 +56,12 @@ __all__ = [
 # --------------------------------------------------------------------------
 # operator AST
 
+# budget checked when a node is built: an exponent costs a chain of that many
+# cached products, a derivative order as many multiplications per term; the
+# built-in examples use at most 3 and 4
+_MAX_EXPONENT = 64
+_MAX_DX_ORDER = 64
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -72,6 +78,8 @@ class Add:
     terms: tuple[OperatorAst, ...]
 
     def __post_init__(self) -> None:
+        # a tuple, so that the node hashes (the coefficient cache is keyed by node value)
+        object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("Add needs at least one term")
 
@@ -94,8 +102,8 @@ class PowInt:
     child: OperatorAst
 
     def __post_init__(self) -> None:
-        if self.exponent < 2:
-            raise ValueError("PowInt exponent must be >= 2")
+        if not 2 <= self.exponent <= _MAX_EXPONENT:
+            raise ValueError(f"PowInt exponent must be in 2..{_MAX_EXPONENT}, got {self.exponent!r}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +112,8 @@ class Dx:
     child: OperatorAst
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("Dx order must be >= 1")
+        if not 1 <= self.order <= _MAX_DX_ORDER:
+            raise ValueError(f"Dx order must be in 1..{_MAX_DX_ORDER}, got {self.order!r}")
 
 
 OperatorAst = Union[Solution, Const, Add, Scale, Mul, PowInt, Dx]
@@ -115,21 +123,22 @@ class _CoeffCache:
     """Coefficients of every node of one operator AST, filled on demand.
 
     ``y`` is the list of solution coefficients; the caller may append to it
-    between requests.  Caches are keyed by node identity, so a node object
-    that occurs twice in the AST is evaluated once.
+    between requests.  Caches are keyed by node value (the nodes are frozen
+    dataclasses, equal when their subtrees are), so equal subtrees are
+    evaluated once wherever they occur, and ``PowInt(p, c)`` is the product
+    of the cached ``PowInt(p-1, c)`` and ``c``.
     """
 
     def __init__(self, alpha: float, y: Sequence[HypExpr]) -> None:
         self.alpha = alpha
         self.y = y
-        self._coeffs: dict[int, list[HypExpr]] = {}
-        self._powers: dict[int, list[list[HypExpr]]] = {}
+        self._coeffs: dict[OperatorAst, list[HypExpr]] = {}
 
     def upto(self, node: OperatorAst, n: int) -> Sequence[HypExpr]:
         """The node's coefficients 0..n (possibly more)."""
         if isinstance(node, Solution):
             return self.y
-        out = self._coeffs.setdefault(id(node), [])
+        out = self._coeffs.setdefault(node, [])
         while len(out) <= n:
             out.append(self._next(node, len(out)))
         return out
@@ -147,13 +156,15 @@ class _CoeffCache:
         if isinstance(node, Mul):
             return mul_coeff(self.alpha, self.upto(node.left, n), self.upto(node.right, n), n)
         if isinstance(node, PowInt):
-            # powers 2..exponent-1, extended in lockstep with the node itself;
-            # the same left-to-right products as series_pow
+            # power q is power q-1 times the child, cached as PowInt(q, child):
+            # the same left-to-right products as series_pow, in a loop rather
+            # than a recursion, so nested powers do not multiply the call depth
             base = self.upto(node.child, n)
-            powers = self._powers.setdefault(id(node), [[] for _ in range(node.exponent - 2)])
-            acc: Sequence[HypExpr] = base
-            for pw in powers:
-                pw.append(mul_coeff(self.alpha, acc, base, n))
+            acc = base
+            for q in range(2, node.exponent):
+                pw = self._coeffs.setdefault(PowInt(q, node.child), [])
+                while len(pw) <= n:
+                    pw.append(mul_coeff(self.alpha, acc, base, len(pw)))
                 acc = pw
             return mul_coeff(self.alpha, acc, base, n)
         if isinstance(node, Dx):

@@ -277,9 +277,11 @@ class TestCli:
         [lambda d: d.pop("rhs"), lambda d: d["ic_a"][0].update(coeff="nan"),
          lambda d: d["ic_a"][0].update(freq=1e300), lambda d: d["rhs"].update(terms=[]),
          lambda d: d["rhs"]["terms"][0].update(child=3),
-         lambda d: d.update(rhs=_dx_chain(800)), lambda d: d["ic_a"][0].update(coeff=1e308)],
+         lambda d: d.update(rhs=_dx_chain(800)), lambda d: d["ic_a"][0].update(coeff=1e308),
+         lambda d: d["rhs"]["terms"][0]["child"].update(exponent=1e12),
+         lambda d: d["rhs"]["terms"][0].update(order=1e12)],
         ids=["missing-rhs", "nan-coeff", "huge-freq", "empty-add", "non-object-node",
-             "deep-ast", "overflowing-coeff"],
+             "deep-ast", "overflowing-coeff", "huge-exponent", "huge-dx-order"],
     )
     def test_bad_spec_exit_2(self, tmp_path, edit):
         doc = json.loads(pde_spec_to_json(builtin_example(4)))

@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ararps.fpseries import (
     FracSeries,
     conv_weight,
+    mul_coeff,
     series_caputo,
     series_eval,
     series_grid,
@@ -29,6 +31,14 @@ def _random_series(rng, alpha, K):
             terms.append((kind, freq, rng.uniform(-1.0, 1.0)))
         coeffs.append(HypExpr.of(terms))
     return FracSeries(alpha, tuple(coeffs))
+
+
+_normal_coeff = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-100)
+_raw_term = st.tuples(st.just(Kind.CONST), st.just(0.0), _normal_coeff) | st.tuples(
+    st.sampled_from([Kind.COSH, Kind.SINH]),
+    st.sampled_from([0.4, 0.8, 1.2, 0.4 * math.sqrt(2.0)]) | st.floats(0.1, 3.0),
+    _normal_coeff,
+)
 
 
 def _square(coeff):
@@ -125,6 +135,20 @@ class TestMul:
         s1 = FracSeries.constant(0.5, 1.0, 5)
         s2 = FracSeries.constant(0.5, 1.0, 2)
         assert series_mul(s1, s2).order == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=st.sampled_from([0.3, 0.5, 0.7, 1.0]),
+        coeffs=st.lists(st.lists(_raw_term, max_size=4), min_size=1, max_size=7),
+    )
+    def test_square_is_bitwise_the_general_product(self, alpha, coeffs):
+        # a square takes each pair once at twice the weight; doubling is
+        # exact away from subnormal contributions, which the coefficients avoid
+        a = [HypExpr.of(terms) for terms in coeffs]
+        for n in range(len(a)):
+            square, general = mul_coeff(alpha, a, a, n), mul_coeff(alpha, a, list(a), n)
+            assert [(k, f.hex(), c.hex()) for k, f, c in square.terms] == [
+                (k, f.hex(), c.hex()) for k, f, c in general.terms]
 
     def test_mul_commutes(self):
         # bitwise: the contributions are the same doubles and fsum ignores their order

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ararps.hypalg import HypExpr, Kind
+from ararps.hypalg import HypExpr, Kind, _canonical, _products
 
 
 def _coeffs(e: HypExpr) -> dict:
@@ -163,3 +163,86 @@ class TestQueries:
         e = HypExpr.const(-2.0 / 3.0) + HypExpr.cosh(0.5, 2.0 / 3.0)
         assert e.render() == "-0.666667 + 0.666667*cosh(0.5*x)"
         assert HypExpr.cosh(1.0).render() == "1*cosh(x)"
+
+
+def _reference_canonical(raw):
+    """One-pass canonical form: fold signs, bucket by (kind, cell), fsum, sort."""
+    buckets = {}
+    for kind, freq, coeff in raw:
+        if coeff == 0.0:
+            continue
+        if freq < 0.0:
+            freq = -freq
+            if kind is Kind.SINH:
+                coeff = -coeff
+        cell = round(freq * 2.0 ** 30)
+        if cell == 0:
+            if kind is Kind.SINH:
+                continue
+            kind, freq = Kind.CONST, 0.0
+        elif kind is Kind.CONST:
+            raise ValueError("CONST term with nonzero frequency")
+        buckets.setdefault((kind, cell), (freq, []))[1].append(coeff)
+    kept = []
+    for (k, _), (f, vs) in sorted(buckets.items()):
+        c = math.fsum(vs)
+        if c != 0.0:
+            kept.append((k, f, c))
+    return tuple(kept)
+
+
+def _reference_products(pairs):
+    """Term-by-term product to sum, then the one-pass canonical form."""
+    sign = {(Kind.COSH, Kind.COSH): 0.5, (Kind.SINH, Kind.SINH): -0.5,
+            (Kind.SINH, Kind.COSH): 0.5, (Kind.COSH, Kind.SINH): -0.5}
+    raw = []
+    for t1, t2, w in pairs:
+        for k1, f1, c1 in t1:
+            for k2, f2, c2 in t2:
+                c = w * (c1 * c2)
+                if k1 is Kind.CONST:
+                    raw.append((k2, f2, c))
+                elif k2 is Kind.CONST:
+                    raw.append((k1, f1, c))
+                else:
+                    kind = Kind.COSH if k1 is k2 else Kind.SINH
+                    raw += [(kind, f1 + f2, 0.5 * c), (kind, f1 - f2, sign[k1, k2] * c)]
+    return _reference_canonical(raw)
+
+
+def _hex(terms):
+    return [(k, f.hex(), c.hex()) for k, f, c in terms]
+
+
+# negative frequencies, cell 0 (constant term; zero for sinh), one cell
+# holding two frequencies, and the cell next to it
+raw_freq_st = st.sampled_from(
+    [0.0, -0.0, 1e-12, -1e-12, 2.0 ** -31, 0.5, -0.5, 1.0, -1.0, 1.0 + 1e-13, -1.0 - 1e-13,
+     1.0 + 2.0 ** -30, 1.5, -2.5]
+) | st.floats(-3.0, 3.0)
+raw_coeff_st = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-5.0, 5.0)
+raw_kind_st = st.sampled_from([Kind.CONST, Kind.COSH, Kind.SINH])
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=300)
+    @given(raw=st.lists(st.tuples(raw_kind_st, raw_freq_st, raw_coeff_st), max_size=12))
+    def test_canonical(self, raw):
+        try:
+            want = _reference_canonical(raw)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _canonical(raw)
+            return
+        assert _hex(_canonical(raw)) == _hex(want)
+
+    @settings(max_examples=200)
+    @given(
+        pairs=st.lists(
+            st.tuples(hyp_exprs(), hyp_exprs(), st.sampled_from([1.0, 0.75, 3.0, 1.0 / 3.0])),
+            max_size=4,
+        )
+    )
+    def test_products(self, pairs):
+        pairs = [(a.terms, b.terms, w) for a, b, w in pairs]
+        assert _hex(_products(pairs)) == _hex(_reference_products(pairs))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -85,6 +86,20 @@ class TestAst:
             PowInt(1, Solution())
         with pytest.raises(ValueError):
             Dx(0, Solution())
+        # the budget: at most 64 for both, and the error names the limit
+        assert PowInt(64, Solution()).exponent == Dx(64, Solution()).order == 64
+        with pytest.raises(ValueError, match="64"):
+            PowInt(65, Solution())
+        with pytest.raises(ValueError, match="64"):
+            Dx(65, Solution())
+
+    def test_add_terms_given_as_a_list(self):
+        # the coefficient cache hashes nodes, so a list of terms becomes a tuple
+        y = Solution()
+        rhs = Add([y, Dx(1, y)])
+        assert rhs == Add((y, Dx(1, y)))
+        coeffs = solve(PdeSpec(1, 1.0, rhs, HypExpr.cosh(1.0)), 2).series.coeffs
+        assert coeffs[2] == HypExpr.cosh(1.0, 2.0) + HypExpr.sinh(1.0, 2.0)
 
 
 def _apply_reference(node, y: FracSeries) -> FracSeries:
@@ -126,6 +141,8 @@ def _shared_pow_spec() -> PdeSpec:
     return _generic_spec(rhs)
 
 
+GOLDEN_DIGEST = "429f345bb9f76601c3b1538292bd443849f5c3bca9085d592fb892d4c2e889df"
+
 ENGINE_SPECS = [
     pytest.param(with_alpha(builtin_example(ex), a), 6, id=f"ex{ex}-alpha{a}")
     for ex in (1, 2, 3, 4)
@@ -161,6 +178,44 @@ class TestOnePassEngine:
         monkeypatch.setattr(ararps.solver, "residual_check", forbidden)
         monkeypatch.setattr(ararps.solver, "apply_operator", forbidden)
         assert solve(spec, K).order == K
+
+    def test_coefficient_bits_pinned(self):
+        # sha256 over float.hex of every term of the reference solves, taken
+        # before products were shared between equal subtrees and squares
+        h = hashlib.sha256()
+        solves = [(with_alpha(builtin_example(ex), a), 24) for ex in (1, 2, 3, 4) for a in (0.5, 1.0)]
+        for spec, K in solves + [(_generic_spec(), 7)]:
+            for n, c in enumerate(solve(spec, K).series.coeffs):
+                h.update(f"c{n}\n".encode())
+                for kind, freq, coeff in c.terms:
+                    h.update(f"{int(kind)} {freq.hex()} {coeff.hex()}\n".encode())
+        assert h.hexdigest() == GOLDEN_DIGEST
+
+    @pytest.mark.parametrize(
+        "spec,per_order", [(builtin_example(4), 2), (_generic_spec(), 3)], ids=["ex4", "generic"]
+    )
+    def test_equal_subtrees_share_products(self, spec, per_order, monkeypatch):
+        # example 4's two PowInt(3, y) are one node value, and pow 3 reuses
+        # pow 2: one product per PowInt power and per Mul in each order
+        calls = []
+        real = ararps.solver.mul_coeff
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ararps.solver, "mul_coeff", counting)
+        solve(spec, 8)
+        assert len(calls) == per_order * 8
+
+    def test_nested_powers_keep_the_call_depth_flat(self):
+        # y' = y^(64^8) from y(0) = 1: eight nested 64-step power chains
+        node = Solution()
+        for _ in range(8):
+            node = PowInt(64, node)
+        coeffs = solve(PdeSpec(1, 1.0, node, HypExpr.const(1.0)), 2).series.coeffs
+        assert coeffs[1] == HypExpr.const(1.0)
+        assert coeffs[2] == HypExpr.const(2.0 ** 48)
 
     def test_generic_spec_keeps_every_lattice_term(self):
         # IC frequencies 0.4*{1, 2, 3}: c_n spans 12n+5 (kind, frequency)
@@ -594,6 +649,16 @@ class TestJsonSpecs:
         else:
             with pytest.raises(ValueError):
                 pde_spec_from_json(spec)
+
+    @pytest.mark.parametrize(
+        "path", [("rhs", "terms", 0, "child", "exponent"), ("rhs", "terms", 0, "order")],
+        ids=["exponent", "dx-order"],
+    )
+    def test_budget_checked_at_ingest(self, path):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="64"):
+            pde_spec_from_json(_edited_spec(path, 1e12))
+        assert time.perf_counter() - t0 < 1.0
 
     def test_integral_float_accepted(self):
         spec = pde_spec_from_json(_edited_spec(("rhs", "terms", 0, "child", "exponent"), 3.0))
