@@ -52,6 +52,7 @@ from .solver import (
     pde_spec_from_json,
     pde_spec_to_json,
     residual_check,
+    residuals,
     solve,
     with_alpha,
 )

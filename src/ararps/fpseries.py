@@ -34,9 +34,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 from typing import Sequence
 
-import mpmath
+from mpmath.libmp import dps_to_prec, mpf_div, mpf_mul, round_nearest, to_float
 
 from .hypalg import HypExpr, _products
 from .special import _gamma40, rgamma, tpow
@@ -54,20 +55,24 @@ __all__ = [
 ]
 
 _ALPHA_TOL = 1e-12
+_PREC40 = dps_to_prec(40)  # 136 bits, the precision of mpmath's workdps(40)
 
 
 @lru_cache(maxsize=None)
 def conv_weight(alpha: float, m: int, j: int) -> float:
     """Gamma((m+j)a+1) / (Gamma(ma+1) Gamma(ja+1)), correctly rounded.
 
-    An integer binomial at integer alpha; otherwise the 40-digit ratio of
-    ``special``'s Gamma values, rounded once.
+    An integer binomial at integer alpha; otherwise the ratio of
+    ``special``'s 40-digit Gamma values, taken on their raw ``mpmath.libmp``
+    values with each step rounded to nearest at 136 bits, as ``mpf``
+    arithmetic under ``workdps(40)`` does but without building ``mpf``
+    objects, and rounded once more to a double.
     """
     if abs(alpha - round(alpha)) < _ALPHA_TOL:
         return float(math.comb(m + j, m))  # classical binomial, exact
-    with mpmath.workdps(40):
-        g = lambda k: _gamma40(k * alpha + 1.0)[0]
-        return float(g(m + j) / (g(m) * g(j)))
+    g = lambda k: _gamma40(k * alpha + 1.0)[0]._mpf_
+    den = mpf_mul(g(m), g(j), _PREC40, round_nearest)
+    return to_float(mpf_div(g(m + j), den, _PREC40, round_nearest), rnd=round_nearest)
 
 
 @dataclass(frozen=True)
@@ -193,7 +198,7 @@ def series_grid(s: FracSeries, xs: Sequence[float], ts: Sequence[float]) -> list
     rows = []
     for x in xs:
         cx = [c(x) for c in s.coeffs]
-        rows.append([math.fsum([c * p * r for c, p, r in zip(cx, w, rg)]) for w in tw])
+        rows.append([math.fsum(map(mul, map(mul, cx, w), rg)) for w in tw])
     return rows
 
 

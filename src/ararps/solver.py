@@ -12,9 +12,12 @@ only coefficient n of each from its children's caches (the online, or
 "relaxed", Cauchy product; van der Hoeven, JSC 2002).  ``apply_operator``
 runs the same engine on a given series.
 
-``residual_check`` rebuilds the transform-space residual coefficients from a
-finished series.  It is an opt-in verification API and is not called by
-``solve``.
+``residuals`` rebuilds the transform-space residual coefficient of every
+order 0..K from a finished series with one ``apply_operator`` pass over it:
+by the same online property, coefficient n-k of that pass is what the
+order-n residual needs, whatever the series holds beyond c_n.
+``residual_check`` is its order-n entry.  Both are opt-in verification APIs
+and are not called by ``solve``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Any, Sequence, Union
+from typing import Any, Sequence, TypeVar, Union
 
 import mpmath
 
@@ -45,6 +48,7 @@ __all__ = [
     "SolveResult",
     "apply_operator",
     "solve",
+    "residuals",
     "residual_check",
     "builtin_example",
     "exact_solution",
@@ -63,16 +67,42 @@ _MAX_EXPONENT = 64
 _MAX_DX_ORDER = 64
 
 
+_Node = TypeVar("_Node", bound=type)
+
+
+def _hash_once(cls: _Node) -> _Node:
+    """Keep the dataclass hash of a node, but compute it once per object.
+
+    The generated hash walks the whole subtree, and ``_CoeffCache`` hashes a
+    node on every lookup; the cached value is the same number, so equality
+    and hashing stay by value.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self: Any) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__  # type: ignore[method-assign]
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Solution:
     pass
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Const:
     value: float
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Add:
     terms: tuple[OperatorAst, ...]
@@ -84,18 +114,21 @@ class Add:
             raise ValueError("Add needs at least one term")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Scale:
     factor: float
     child: OperatorAst
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Mul:
     left: OperatorAst
     right: OperatorAst
 
 
+@_hash_once
 @dataclass(frozen=True)
 class PowInt:
     exponent: int
@@ -106,6 +139,7 @@ class PowInt:
             raise ValueError(f"PowInt exponent must be in 2..{_MAX_EXPONENT}, got {self.exponent!r}")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Dx:
     order: int
@@ -247,31 +281,41 @@ def solve(spec: PdeSpec, K: int = 6) -> SolveResult:
     return SolveResult(FracSeries(spec.alpha, tuple(coeffs)))
 
 
-def residual_check(spec: PdeSpec, result: SolveResult, n: int) -> HypExpr:
-    """Coefficient of s^-(n*alpha+1) in the k-th transform-space residual.
+def residuals(spec: PdeSpec, result: SolveResult) -> tuple[HypExpr, ...]:
+    """Coefficient of s^-(n*alpha+1) in the k-th transform-space residual, for n = 0..K.
 
     The residual is assembled from the derivative-transform identities
     (order-two transform of D^{k alpha} y) applied to the truncated series
     minus the transformed right-hand side; the prefactor of h_n,
     (1 - k*alpha/(n*alpha+1)), is folded exactly into ((n-k)*alpha+1) * c_n
-    so a correct series yields the identically zero expression.
+    so a correct series yields the identically zero expression at every
+    order.  The right-hand side is one ``apply_operator`` pass over c_0..c_{K-k};
+    its coefficient n-k reads only c_0..c_{n-k}, so entry n is the same
+    expression, bit for bit, as a pass over the series truncated at n.
+    """
+    k, K = spec.time_order, result.order
+    alpha = spec.alpha
+    c = result.series.coeffs
+    # orders below k hold the initial data: (1 - k*alpha) * (c_0 - a), and
+    # for k = 2, (1 - alpha) * (c_1 - b)
+    out = [(c[0] - spec.ic_a).scale(1.0 - k * alpha)]
+    if k == 2 and K >= 1:
+        out.append((c[1] - spec.ic_b).scale(1.0 - alpha))  # type: ignore[operator]
+    if K >= k:
+        rhs = apply_operator(spec.rhs, result.series.truncate(K - k)).coeffs
+        out += [(c[n] - rhs[n - k]).scale((n - k) * alpha + 1.0) for n in range(k, K + 1)]
+    return tuple(out)
+
+
+def residual_check(spec: PdeSpec, result: SolveResult, n: int) -> HypExpr:
+    """Coefficient of s^-(n*alpha+1) in the k-th transform-space residual.
+
+    The order-n entry of ``residuals`` on the series truncated at n, so that
+    only c_0..c_n are read; checking every order is cheaper by ``residuals``.
     """
     if n > result.order:
         raise ValueError("residual order exceeds series order")
-    k = spec.time_order
-    alpha = spec.alpha
-    series = result.series
-    c = series.coeffs
-    if n == 0:
-        # (1 - k*alpha) * (c_0 - a)
-        return (c[0] - spec.ic_a).scale(1.0 - k * alpha)
-    if n < k:
-        # only k = 2, n = 1: (1 - alpha) * (c_1 - b)
-        return (c[1] - spec.ic_b).scale(1.0 - alpha)  # type: ignore[operator]
-    # coefficient n-k of the right-hand side depends only on c_0..c_{n-k}
-    rhs_series = apply_operator(spec.rhs, series.truncate(n - k))
-    q = (n - k) * alpha + 1.0
-    return (c[n] - rhs_series.coeffs[n - k]).scale(q)
+    return residuals(spec, SolveResult(result.series.truncate(n)))[n]
 
 
 # --------------------------------------------------------------------------

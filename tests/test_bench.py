@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import ararps.solver
 from ararps.bench import (
     DEFAULT_TABLE_ORDER,
     REFERENCE_T,
@@ -17,6 +18,7 @@ from ararps.bench import (
     emit_surface,
     make_table,
     parse_csv,
+    run_validation,
 )
 from ararps.fpseries import series_eval
 from ararps.hypalg import HypExpr
@@ -140,6 +142,23 @@ class TestSurface:
         monkeypatch.setattr(HypExpr, "__call__", counted)
         emit_surface(1, alphas=(0.5,), K=24, out_dir=tmp_path)
         assert calls == 21 * 25  # not 441 * 25: once per (x, n), shared by every t
+
+
+class TestValidation:
+    def test_one_operator_pass_per_residual_check(self, monkeypatch):
+        # every residual order of the 4 examples x 4 alphas comes from one
+        # apply_operator pass each, not one pass per order (84)
+        calls = 0
+        raw = ararps.solver.apply_operator
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return raw(*args)
+
+        monkeypatch.setattr(ararps.solver, "apply_operator", counted)
+        assert run_validation() == []
+        assert calls == 16
 
 
 def _dx_chain(depth):

@@ -1,8 +1,10 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import round_down, to_float
 
 from ararps.fpseries import (
     FracSeries,
@@ -18,7 +20,7 @@ from ararps.fpseries import (
 )
 from ararps.hypalg import HypExpr, Kind
 from ararps.solver import builtin_example, solve, with_alpha
-from ararps.special import gamma
+from ararps.special import _gamma40, gamma
 
 
 def _random_series(rng, alpha, K):
@@ -68,6 +70,20 @@ class TestConvWeight:
     def test_edge_cases(self):
         assert conv_weight(0.5, 0, 0) == 1.0
         assert conv_weight(0.5, 0, 7) == 1.0
+
+    def test_rounded_to_nearest_like_mpf(self):
+        # the same double as mpf arithmetic under workdps(40) gives; rounding
+        # the 136-bit ratio towards zero instead changes some of these weights
+        truncated = 0
+        for alpha in (0.25, 0.5, 0.75):
+            for m in range(25):
+                for j in range(25 - m):
+                    with mpmath.workdps(40):
+                        g = lambda k: _gamma40(k * alpha + 1.0)[0]
+                        ratio = g(m + j) / (g(m) * g(j))
+                    assert conv_weight(alpha, m, j) == float(ratio)
+                    truncated += to_float(ratio._mpf_, rnd=round_down) != float(ratio)
+        assert truncated > 0
 
 
 class TestFracSeries:

@@ -29,12 +29,14 @@ from ararps.solver import (
     PowInt,
     Scale,
     Solution,
+    SolveResult,
     apply_operator,
     builtin_example,
     exact_solution,
     pde_spec_from_json,
     pde_spec_to_json,
     residual_check,
+    residuals,
     solve,
     with_alpha,
 )
@@ -398,11 +400,29 @@ class TestResiduals:
         res = solve(spec, 6)
         bad = list(res.series.coeffs)
         bad[2] = bad[2] + HypExpr.const(1.0)
-        from ararps.solver import SolveResult
-
         corrupted = SolveResult(FracSeries(spec.alpha, tuple(bad)))
         r = residual_check(spec, corrupted, 2)
         assert r.max_abs_coeff() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("ex", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("K", [6, 12])
+    def test_one_pass_matches_each_order(self, ex, alpha, K):
+        # every order from one operator pass is the order's own residual, term
+        # for term, on the solution and on a series with c_2 corrupted
+        spec = with_alpha(builtin_example(ex), alpha)
+        res = solve(spec, K)
+        bad = list(res.series.coeffs)
+        bad[2] = bad[2] + HypExpr.const(1.0)
+        corrupted = SolveResult(FracSeries(alpha, tuple(bad)))
+        for r in (res, corrupted):
+            all_orders = residuals(spec, r)
+            assert len(all_orders) == K + 1
+            for n in range(K + 1):
+                assert all_orders[n].terms == residual_check(spec, r, n).terms
+        lit = [e.max_abs_coeff() for e in residuals(spec, corrupted)]
+        assert max(lit[:2]) <= 1e-12
+        assert lit[2] == pytest.approx((2 - spec.time_order) * alpha + 1.0, rel=1e-12)
 
     def test_order_bound(self):
         spec = builtin_example(4)
