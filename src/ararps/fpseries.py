@@ -39,7 +39,7 @@ from typing import Sequence
 
 from mpmath.libmp import dps_to_prec, mpf_div, mpf_mul, round_nearest, to_float
 
-from .hypalg import HypExpr, _products
+from .hypalg import HypExpr, _fsum, _products
 from .special import _gamma40, rgamma, tpow
 
 __all__ = [
@@ -189,6 +189,7 @@ def series_grid(s: FracSeries, xs: Sequence[float], ts: Sequence[float]) -> list
 
     Each point is the fsum of c_n(x) * t^(n*alpha) * 1/Gamma(n*alpha+1),
     multiplied left to right; only the factors are shared across the grid.
+    A point whose value is not finite raises OverflowError naming x and t.
     """
     if not all(map(math.isfinite, chain(xs, ts))) or any(t < 0.0 for t in ts):
         raise ValueError("series_eval/series_grid: x must be finite, t finite and >= 0")
@@ -197,8 +198,15 @@ def series_grid(s: FracSeries, xs: Sequence[float], ts: Sequence[float]) -> list
     tw = [[tpow(t, n * a) for n in range(len(rg))] for t in ts]
     rows = []
     for x in xs:
-        cx = [c(x) for c in s.coeffs]
-        rows.append([math.fsum(map(mul, map(mul, cx, w), rg)) for w in tw])
+        try:
+            cx = [c(x) for c in s.coeffs]
+        except (OverflowError, ValueError):  # a cosh or sinh term past the double range
+            cx = [math.inf]  # so every point of the row is not finite
+        row = [_fsum(map(mul, map(mul, cx, w), rg)) for w in tw]
+        if not all(map(math.isfinite, row)):
+            t = next(t for t, v in zip(ts, row) if not math.isfinite(v))
+            raise OverflowError(f"series value at x={x!r}, t={t!r} is not finite")
+        rows.append(row)
     return rows
 
 

@@ -147,15 +147,24 @@ def _merge(
         for cell in sorted(out):  # cells are ordered like their frequencies
             f, vs = out[cell]
             buckets.append((kind, f, vs))
+    return _finite_nonzero((k, f, _fsum(vs)) for k, f, vs in buckets)
+
+
+def _fsum(vs: Iterable[float]) -> float:
+    """``math.fsum``, but NaN where fsum raises (an overflow, or inf - inf)."""
+    try:
+        return math.fsum(vs)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _finite_nonzero(terms: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, float, float], ...]:
+    """The terms without exact zeros; OverflowError if a coefficient is not finite."""
     kept = []
-    for k, f, vs in buckets:
-        try:
-            c = math.fsum(vs)
-        except (OverflowError, ValueError):
-            c = math.nan
+    for k, f, c in terms:
         if not math.isfinite(c):
             raise OverflowError(f"coefficient of {k.name.lower()}({f:g}*x) is not finite")
-        if c != 0.0:
+        if c:
             kept.append((k, f, c))
     return tuple(kept)
 
@@ -205,9 +214,7 @@ class HypExpr:
         return HypExpr(tuple((k, f, -c) for k, f, c in self.terms))
 
     def scale(self, factor: float) -> "HypExpr":
-        if factor == 0.0:
-            return HypExpr()
-        return HypExpr(tuple((k, f, c * factor) for k, f, c in self.terms))
+        return HypExpr(_finite_nonzero((k, f, c * factor) for k, f, c in self.terms))
 
     def __mul__(self, other: "HypExpr") -> "HypExpr":
         return HypExpr(_products([(self.terms, other.terms, 1.0)]))

@@ -6,9 +6,10 @@ The engine runs the t-space coefficient recursion
 
 which is what the transform-space limit extraction lim s^{k*alpha+1} G2 Res_k = 0
 isolates order by order.  Coefficient n of every operator node depends only
-on c_0..c_n, so ``solve`` runs the recursion in one pass: each distinct
-AST subtree caches the coefficients it has computed, and order n computes
-only coefficient n of each from its children's caches (the online, or
+on c_0..c_n, so ``solve`` runs the recursion in one pass.  ``_coefficients``
+lowers the AST once to a flat list of steps in dependency order, one per
+distinct subtree, each holding the coefficients computed so far; order n
+appends coefficient n to each from its children's lists (the online, or
 "relaxed", Cauchy product; van der Hoeven, JSC 2002).  ``apply_operator``
 runs the same engine on a given series.
 
@@ -26,7 +27,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Any, Sequence, TypeVar, Union
+from functools import partial, reduce
+from operator import add
+from typing import Any, Callable, Sequence, Union
 
 import mpmath
 
@@ -67,68 +70,39 @@ _MAX_EXPONENT = 64
 _MAX_DX_ORDER = 64
 
 
-_Node = TypeVar("_Node", bound=type)
-
-
-def _hash_once(cls: _Node) -> _Node:
-    """Keep the dataclass hash of a node, but compute it once per object.
-
-    The generated hash walks the whole subtree, and ``_CoeffCache`` hashes a
-    node on every lookup; the cached value is the same number, so equality
-    and hashing stay by value.
-    """
-    field_hash = cls.__hash__
-
-    def __hash__(self: Any) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = field_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__  # type: ignore[method-assign]
-    return cls
-
-
-@_hash_once
 @dataclass(frozen=True)
 class Solution:
     pass
 
 
-@_hash_once
 @dataclass(frozen=True)
 class Const:
     value: float
 
 
-@_hash_once
 @dataclass(frozen=True)
 class Add:
     terms: tuple[OperatorAst, ...]
 
     def __post_init__(self) -> None:
-        # a tuple, so that the node hashes (the coefficient cache is keyed by node value)
+        # a tuple, so that the frozen node is immutable and compares by value
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("Add needs at least one term")
 
 
-@_hash_once
 @dataclass(frozen=True)
 class Scale:
     factor: float
     child: OperatorAst
 
 
-@_hash_once
 @dataclass(frozen=True)
 class Mul:
     left: OperatorAst
     right: OperatorAst
 
 
-@_hash_once
 @dataclass(frozen=True)
 class PowInt:
     exponent: int
@@ -139,7 +113,6 @@ class PowInt:
             raise ValueError(f"PowInt exponent must be in 2..{_MAX_EXPONENT}, got {self.exponent!r}")
 
 
-@_hash_once
 @dataclass(frozen=True)
 class Dx:
     order: int
@@ -153,64 +126,69 @@ class Dx:
 OperatorAst = Union[Solution, Const, Add, Scale, Mul, PowInt, Dx]
 
 
-class _CoeffCache:
-    """Coefficients of every node of one operator AST, filled on demand.
+def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Callable[[int], HypExpr]:
+    """Lower the AST once; return ``next(n)``, which reads y[0..n] and gives the root's c_n.
 
-    ``y`` is the list of solution coefficients; the caller may append to it
-    between requests.  Caches are keyed by node value (the nodes are frozen
-    dataclasses, equal when their subtrees are), so equal subtrees are
-    evaluated once wherever they occur, and ``PowInt(p, c)`` is the product
-    of the cached ``PowInt(p-1, c)`` and ``c``.
+    A step is a coefficient list and the function of n that gives its next
+    entry from its children's lists; ``next(n)`` appends entry n to every
+    step, in dependency order.  A step's key is its node type, scalar fields
+    and children's list ids, so equal subtrees share a step and no node is
+    hashed; an object met twice is lowered once.  Power p is power p-1 times
+    the base, in a loop, so nested powers do not deepen the recursion.
     """
+    mul = partial(mul_coeff, alpha)  # read at lowering time
+    # key -> (coefficient list, next entry); a dict keeps the dependency order
+    steps: dict[tuple, tuple[list[HypExpr], Callable[[int], HypExpr]]] = {}
+    by_id: dict[int, Sequence[HypExpr]] = {}
 
-    def __init__(self, alpha: float, y: Sequence[HypExpr]) -> None:
-        self.alpha = alpha
-        self.y = y
-        self._coeffs: dict[OperatorAst, list[HypExpr]] = {}
+    def step(key: tuple, nxt: Callable[[int], HypExpr]) -> list[HypExpr]:
+        return steps.setdefault(key, ([], nxt))[0]
 
-    def upto(self, node: OperatorAst, n: int) -> Sequence[HypExpr]:
-        """The node's coefficients 0..n (possibly more)."""
+    def lower(node: OperatorAst) -> Sequence[HypExpr]:
+        out = by_id.get(id(node))
+        if out is not None:
+            return out
         if isinstance(node, Solution):
-            return self.y
-        out = self._coeffs.setdefault(node, [])
-        while len(out) <= n:
-            out.append(self._next(node, len(out)))
+            out = y
+        elif isinstance(node, Const):
+            v = node.value
+            out = step((Const, v), lambda n, v=v: HypExpr.const(v) if n == 0 else HypExpr())
+        elif isinstance(node, Add):
+            ts = [lower(t) for t in node.terms]
+            out = step((Add, *map(id, ts)), lambda n, ts=ts: reduce(add, [t[n] for t in ts]))
+        elif isinstance(node, Scale):
+            a, f = lower(node.child), node.factor
+            out = step((Scale, f, id(a)), lambda n, a=a, f=f: a[n].scale(f))
+        elif isinstance(node, Mul):
+            a, b = lower(node.left), lower(node.right)
+            out = step((Mul, id(a), id(b)), partial(mul, a, b))
+        elif isinstance(node, PowInt):
+            out = base = lower(node.child)
+            for q in range(2, node.exponent + 1):
+                out = step((PowInt, q, id(base)), partial(mul, out, base))
+        elif isinstance(node, Dx):
+            a, m = lower(node.child), node.order
+            out = step((Dx, m, id(a)), lambda n, a=a, m=m: a[n].diff(m))
+        else:
+            raise ValueError(f"ill-formed operator AST node: {node!r}")
+        by_id[id(node)] = out
         return out
 
-    def _next(self, node: OperatorAst, n: int) -> HypExpr:
-        if isinstance(node, Const):
-            return HypExpr.const(node.value) if n == 0 else HypExpr.zero()
-        if isinstance(node, Add):
-            acc = self.upto(node.terms[0], n)[n]
-            for term in node.terms[1:]:
-                acc = acc + self.upto(term, n)[n]
-            return acc
-        if isinstance(node, Scale):
-            return self.upto(node.child, n)[n].scale(node.factor)
-        if isinstance(node, Mul):
-            return mul_coeff(self.alpha, self.upto(node.left, n), self.upto(node.right, n), n)
-        if isinstance(node, PowInt):
-            # power q is power q-1 times the child, cached as PowInt(q, child):
-            # the same left-to-right products as series_pow, in a loop rather
-            # than a recursion, so nested powers do not multiply the call depth
-            base = self.upto(node.child, n)
-            acc = base
-            for q in range(2, node.exponent):
-                pw = self._coeffs.setdefault(PowInt(q, node.child), [])
-                while len(pw) <= n:
-                    pw.append(mul_coeff(self.alpha, acc, base, len(pw)))
-                acc = pw
-            return mul_coeff(self.alpha, acc, base, n)
-        if isinstance(node, Dx):
-            return self.upto(node.child, n)[n].diff(node.order)
-        raise ValueError(f"ill-formed operator AST node: {node!r}")
+    root = lower(node)
+
+    def next_coefficient(n: int) -> HypExpr:
+        for out, nxt in steps.values():
+            out.append(nxt(n))
+        return root[n]
+
+    return next_coefficient
 
 
 def apply_operator(node: OperatorAst, y: FracSeries) -> FracSeries:
     """Evaluate the spatial operator on a truncated series."""
     if isinstance(node, Solution):
         return y
-    return FracSeries(y.alpha, tuple(_CoeffCache(y.alpha, y.coeffs).upto(node, y.order)))
+    return FracSeries(y.alpha, tuple(map(_coefficients(node, y.alpha, y.coeffs), range(y.order + 1))))
 
 
 # --------------------------------------------------------------------------
@@ -275,9 +253,9 @@ def solve(spec: PdeSpec, K: int = 6) -> SolveResult:
     coeffs: list[HypExpr] = [spec.ic_a]
     if k == 2:
         coeffs.append(spec.ic_b)  # type: ignore[arg-type]
-    rhs = _CoeffCache(spec.alpha, coeffs)
+    nxt = _coefficients(spec.rhs, spec.alpha, coeffs)
     for n in range(K - k + 1):
-        coeffs.append(rhs.upto(spec.rhs, n)[n])
+        coeffs.append(nxt(n))
     return SolveResult(FracSeries(spec.alpha, tuple(coeffs)))
 
 

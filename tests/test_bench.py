@@ -212,13 +212,15 @@ class TestCli:
          ["transform", "--fn", "t^1.5", "--n", "2", "--s", "inf"],
          ["solve", "--example", "1", "--lam", "nan"],
          ["table", "--example", "2", "--gamma", "inf", "--out", "{tmp}/t.csv"],
-         ["solve", "--example", "1", "--at", "0:1e300"]],
+         ["solve", "--example", "1", "--at", "0:1e300"],
+         ["solve", "--example", "4", "--order", "2", "--at", "2000:1e10"]],
         ids=["order", "alpha-0", "alpha-1.5", "negative-t", "v", "v-in-constant-cell",
              "table-order", "surface-alpha", "s", "transform-overflow",
              "transform-underflowing-s", "transform-bad-exponent", "table-gamma-overflow",
              "table-lam-overflow", "surface-gamma-overflow", "table-out-missing-dir",
              "surface-out-dir-is-file", "solve-spec-directory", "point-nan-t", "s-nan",
-             "s-inf", "solve-lam-nan", "table-gamma-inf", "point-t-overflow"],
+             "s-inf", "solve-lam-nan", "table-gamma-inf", "point-t-overflow",
+             "point-value-overflow"],
     )
     def test_bad_flag_exit_2(self, args, tmp_path):
         (tmp_path / "file").write_text("")
@@ -253,7 +255,7 @@ class TestCli:
             res = self.runner.invoke(cli, args)
         assert res.exit_code in (0, 2), (args, res.output, res.exception)
         if command in ("solve", "transform") and res.exit_code == 0:
-            assert "nan" not in res.output, args
+            assert "nan" not in res.output and "inf" not in res.output, args
 
     def test_solve_spec_keeps_its_alpha(self, tmp_path):
         # README's spec has alpha 0.5; --alpha overrides it only when given
@@ -298,9 +300,12 @@ class TestCli:
          lambda d: d["rhs"]["terms"][0].update(child=3),
          lambda d: d.update(rhs=_dx_chain(800)), lambda d: d["ic_a"][0].update(coeff=1e308),
          lambda d: d["rhs"]["terms"][0]["child"].update(exponent=1e12),
-         lambda d: d["rhs"]["terms"][0].update(order=1e12)],
+         lambda d: d["rhs"]["terms"][0].update(order=1e12),
+         lambda d: d.update(rhs={"node": "scale", "factor": 1e300, "child": {"node": "solution"}},
+                            ic_a=[{"kind": "cosh", "freq": 1.0, "coeff": 1e10}])],
         ids=["missing-rhs", "nan-coeff", "huge-freq", "empty-add", "non-object-node",
-             "deep-ast", "overflowing-coeff", "huge-exponent", "huge-dx-order"],
+             "deep-ast", "overflowing-coeff", "huge-exponent", "huge-dx-order",
+             "overflowing-scale"],
     )
     def test_bad_spec_exit_2(self, tmp_path, edit):
         doc = json.loads(pde_spec_to_json(builtin_example(4)))

@@ -259,6 +259,14 @@ class TestGrid:
             with pytest.raises(ValueError):
                 series_grid(s, xs, ts)
 
+    @pytest.mark.parametrize("x,t", [(2000.0, 1e10), (2100.0, 1e5), (3000.0, 1.0)],
+                             ids=["inf", "inf-minus-inf", "cosh-overflow"])
+    def test_point_past_the_double_range_named(self, x, t):
+        # a product, a sum or a c_n(x) that leaves the doubles: one error naming the point
+        s = solve(builtin_example(4), 2).series
+        with pytest.raises(OverflowError, match=f"x={x!r}, t={t!r} is not finite"):
+            series_grid(s, [0.0, x], [t])
+
     def test_empty_axes(self):
         s = FracSeries.constant(0.5, 1.0, 2)
         assert series_grid(s, [], [0.0, 1.0]) == []

@@ -36,6 +36,14 @@ class TestCanonicalForm:
         with pytest.raises(OverflowError, match=r"const\(0\*x\)"):
             big * big
 
+    def test_scale_past_the_double_range_raises(self):
+        with pytest.raises(OverflowError, match=r"cosh\(1\*x\) is not finite"):
+            HypExpr.cosh(1.0, 1e10).scale(1e300)
+
+    def test_scale_to_an_exact_zero_drops_the_term(self):
+        e = HypExpr.cosh(1.0, 1e-300).scale(1e-300)
+        assert e.is_zero() and e == HypExpr.zero()
+
     def test_negative_freq_folded(self):
         assert HypExpr.cosh(-2.0, 3.0) == HypExpr.cosh(2.0, 3.0)
         assert HypExpr.sinh(-2.0, 3.0) == HypExpr.sinh(2.0, -3.0)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ararps.solver
 from ararps.fpseries import (
@@ -96,7 +98,7 @@ class TestAst:
             Dx(65, Solution())
 
     def test_add_terms_given_as_a_list(self):
-        # the coefficient cache hashes nodes, so a list of terms becomes a tuple
+        # a list of terms becomes a tuple, so the node compares by value
         y = Solution()
         rhs = Add([y, Dx(1, y)])
         assert rhs == Add((y, Dx(1, y)))
@@ -124,6 +126,42 @@ def _apply_reference(node, y: FracSeries) -> FracSeries:
     if isinstance(node, Dx):
         return series_spatial_diff(_apply_reference(node.child, y), node.order)
     raise ValueError(f"ill-formed operator AST node: {node!r}")
+
+
+# quarter-integer coefficients and half-integer frequencies: every product
+# and every sum of frequencies is exact, so the engine's shared products and
+# squares must give the reference's bits
+_QUARTERS = st.integers(-8, 8).map(lambda k: k / 4)
+_NONZERO = _QUARTERS.filter(bool)
+_TERMS = st.one_of(
+    st.builds(lambda c: (Kind.CONST, 0.0, c), _NONZERO),
+    st.tuples(st.sampled_from((Kind.COSH, Kind.SINH)), st.sampled_from((0.5, 1.0, 1.5)), _NONZERO),
+)
+
+
+@st.composite
+def _shared_asts(draw):
+    """An AST over all seven node types whose children are drawn from the nodes
+    built so far, so subtrees are shared; "copy" adds an equal, distinct object.
+    The root adds up every node drawn, so each of them counts."""
+    pool = [Solution(), Const(draw(_QUARTERS))]
+    for _ in range(draw(st.integers(2, 6))):
+        pick = st.sampled_from(pool)
+        op = draw(st.sampled_from(("add", "scale", "mul", "pow", "dx", "copy")))
+        if op == "add":
+            node = Add(tuple(draw(st.lists(pick, min_size=1, max_size=3))))
+        elif op == "scale":
+            node = Scale(draw(_QUARTERS), draw(pick))
+        elif op == "mul":
+            node = Mul(draw(pick), draw(pick))
+        elif op == "pow":
+            node = PowInt(draw(st.integers(2, 3)), draw(pick))
+        elif op == "dx":
+            node = Dx(draw(st.integers(1, 3)), draw(pick))
+        else:
+            node = copy.deepcopy(draw(pick))
+        pool.append(node)
+    return Add(tuple(pool))
 
 
 def _generic_spec(rhs=None) -> PdeSpec:
@@ -218,6 +256,30 @@ class TestOnePassEngine:
         coeffs = solve(PdeSpec(1, 1.0, node, HypExpr.const(1.0)), 2).series.coeffs
         assert coeffs[1] == HypExpr.const(1.0)
         assert coeffs[2] == HypExpr.const(2.0 ** 48)
+
+    def test_shared_objects_lower_once(self):
+        # one object used twice per level: 2^60 paths through the AST, 60 steps
+        node = Solution()
+        for _ in range(60):
+            node = Add((node, node))
+        start = time.perf_counter()
+        coeffs = solve(PdeSpec(1, 1.0, node, HypExpr.cosh(1.0)), 3).series.coeffs
+        assert time.perf_counter() - start < 1.0
+        assert coeffs[1] == HypExpr.cosh(1.0, 2.0 ** 60)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ast=_shared_asts(), alpha=st.sampled_from(ALPHAS),
+           coeffs=st.lists(st.lists(_TERMS, min_size=1, max_size=3).map(HypExpr.of),
+                           min_size=1, max_size=4))
+    def test_random_shared_asts_match_reference(self, ast, alpha, coeffs):
+        s = FracSeries(alpha, tuple(coeffs))
+        try:
+            want = _apply_reference(ast, s)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                apply_operator(ast, s)
+            return
+        assert apply_operator(ast, s).coeffs == want.coeffs
 
     def test_generic_spec_keeps_every_lattice_term(self):
         # IC frequencies 0.4*{1, 2, 3}: c_n spans 12n+5 (kind, frequency)
