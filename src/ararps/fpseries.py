@@ -144,17 +144,13 @@ def mul_coeff(alpha: float, a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) 
     Reads only a[0..n] and b[0..n], so a caller can extend both lists one
     coefficient at a time (the online product).
     """
-    if a is not b:
-        return HypExpr(_products(
-            (a[m].terms, b[n - m].terms, conv_weight(alpha, m, n - m)) for m in range(n + 1)
-        ))
-    # a square: pair (m, n-m) and its mirror give the same contributions, so
-    # take it once at twice the weight (fsum([x, x]) == fsum([2x]), and the
-    # doubling is exact away from subnormals), then the middle pair once
-    pairs = [(a[m].terms, a[n - m].terms, 2.0 * conv_weight(alpha, m, n - m))
-             for m in range((n + 1) // 2)]
-    if n % 2 == 0:
-        pairs.append((a[n // 2].terms, a[n // 2].terms, conv_weight(alpha, n // 2, n // 2)))
+    # a square takes m to the middle only, at twice the weight below it: pair (m, n-m)
+    # and its mirror add alike (fsum([x, x]) == fsum([2x]), exact away from subnormals)
+    square = a is b
+    pairs = []
+    for m in range(n // 2 + 1 if square else n + 1):
+        w = conv_weight(alpha, m, n - m)
+        pairs.append((a[m].terms, b[n - m].terms, 2.0 * w if square and 2 * m < n else w))
     return HypExpr(_products(pairs))
 
 
@@ -200,7 +196,7 @@ def series_grid(s: FracSeries, xs: Sequence[float], ts: Sequence[float]) -> list
     for x in xs:
         try:
             cx = [c(x) for c in s.coeffs]
-        except (OverflowError, ValueError):  # a cosh or sinh term past the double range
+        except OverflowError:  # a coefficient past the double range at x
             cx = [math.inf]  # so every point of the row is not finite
         row = [_fsum(map(mul, map(mul, cx, w), rg)) for w in tw]
         if not all(map(math.isfinite, row)):

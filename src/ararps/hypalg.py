@@ -8,11 +8,10 @@ contributions merged when their frequencies fall in the same cell
 ``round(freq * 2**30)`` (cell 0 is the constant term), and terms whose
 coefficients sum to exactly zero dropped.  Nothing else is pruned.
 
-``_products`` is the one product-to-sum kernel; ``fpseries`` products use
-it too.  It buckets contributions per kind by their exact frequency, and
-``_merge`` then folds signs, maps each distinct frequency to its cell and
-sums each cell with one ``math.fsum``.  ``_canonical`` (for ``of``, ``+``
-and ``diff``) is the same bucketing of given terms followed by ``_merge``.
+``_products``, the one product-to-sum kernel, is the only code that buckets
+contributions (per kind, by exact frequency); ``_merge`` then folds signs, maps
+each frequency to its cell and fsums each cell.  ``_canonical`` and ``+`` are
+products with 1; ``diff`` keeps every frequency, so it is canonical as it stands.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 from typing import Iterable
 
 __all__ = ["Kind", "HypExpr"]
@@ -38,6 +38,7 @@ class Kind(IntEnum):
 _CONST, _COSH, _SINH = Kind.CONST, Kind.COSH, Kind.SINH
 # d/dx swaps cosh and sinh; a dict keeps the kinds Kind members (IntEnum sums are ints)
 _SWAP = {_COSH: _SINH, _SINH: _COSH}
+_UNIT = ((_CONST, 0.0, 1.0),)  # the constant 1
 
 
 def _products(pairs: Iterable[tuple[tuple, tuple, float]]) -> tuple[tuple[Kind, float, float], ...]:
@@ -90,20 +91,11 @@ def _products(pairs: Iterable[tuple[tuple, tuple, float]]) -> tuple[tuple[Kind, 
 
 
 def _canonical(raw: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, float, float], ...]:
-    """Canonical form of a raw list of terms: bucket by exact frequency, then ``_merge``."""
-    const: list[float] = []
-    cosh: defaultdict[float, list[float]] = defaultdict(list)
-    sinh: defaultdict[float, list[float]] = defaultdict(list)
-    for kind, freq, coeff in raw:
-        if not coeff:
-            continue
-        if kind is not _CONST:
-            (cosh if kind is _COSH else sinh)[freq].append(coeff)
-        elif round(freq * _CELLS):
-            raise ValueError("CONST term with nonzero frequency")
-        else:
-            const.append(coeff)
-    return _merge(const, cosh, sinh)
+    """Canonical form of raw terms: their product with 1, where each contribution is ``c``."""
+    raw = tuple(raw)
+    if any(k is _CONST and c and round(f * _CELLS) for k, f, c in raw):
+        raise ValueError("CONST term with nonzero frequency")
+    return _products(((raw, _UNIT, 1.0),))
 
 
 def _merge(
@@ -170,9 +162,12 @@ def _finite_nonzero(terms: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[K
 
 
 def _checked_freq(freq: float) -> float:
-    """``freq``, unless it is nonzero yet in cell 0, which ``_canonical`` reads as 0."""
+    """``freq``, unless it is nonzero yet in cell 0, which ``_canonical`` reads as 0,
+    or its cell index ``freq * 2**30`` is not finite (``|freq|`` at 2**994 or more)."""
     if 0.0 < abs(freq) <= 2.0 ** -31:
         raise ValueError(f"frequency {freq!r} is nonzero but at most 2**-31")
+    if not math.isfinite(freq * _CELLS):
+        raise ValueError(f"frequency {freq!r} has no finite cell: |freq| must be below 2**994")
     return freq
 
 
@@ -205,7 +200,7 @@ class HypExpr:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "HypExpr") -> "HypExpr":
-        return HypExpr.of(self.terms + other.terms)
+        return HypExpr(_products(((self.terms, _UNIT, 1.0), (other.terms, _UNIT, 1.0))))
 
     def __sub__(self, other: "HypExpr") -> "HypExpr":
         return self + (-other)
@@ -220,6 +215,7 @@ class HypExpr:
         return HypExpr(_products([(self.terms, other.terms, 1.0)]))
 
     def diff(self, m: int = 1) -> "HypExpr":
+        """The m-th x-derivative; it keeps every frequency, so it is canonical as it stands."""
         if m < 1:
             raise ValueError("diff order must be >= 1")
         out = []
@@ -228,20 +224,28 @@ class HypExpr:
                 for _ in range(m):
                     coeff *= freq
                 out.append((_SWAP[kind] if m % 2 else kind, freq, coeff))
-        return HypExpr.of(out)
+        out.sort(key=itemgetter(0))  # stable: an odd m swapped the cosh and sinh blocks
+        return HypExpr(_finite_nonzero(out))
 
     # -- queries ---------------------------------------------------------
 
     def __call__(self, x: float) -> float:
+        """The fsum of the terms at x; OverflowError naming x if it is not finite."""
         vals = []
-        for kind, freq, coeff in self.terms:
-            if kind is _CONST:
-                vals.append(coeff)
-            elif kind is _COSH:
-                vals.append(coeff * math.cosh(freq * x))
-            else:
-                vals.append(coeff * math.sinh(freq * x))
-        return math.fsum(vals)
+        try:
+            for kind, freq, coeff in self.terms:
+                if kind is _CONST:
+                    vals.append(coeff)
+                elif kind is _COSH:
+                    vals.append(coeff * math.cosh(freq * x))
+                else:
+                    vals.append(coeff * math.sinh(freq * x))
+        except OverflowError:  # a cosh or sinh past the double range
+            vals = [math.inf]
+        value = _fsum(vals)
+        if not math.isfinite(value):
+            raise OverflowError(f"value at x={x!r} is not finite")
+        return value
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -401,7 +401,11 @@ _MAX_AST_DEPTH = 100
 
 
 def _finite(v: Any) -> float:
-    f = float(v)
+    """A JSON number (an int or a float, not a bool or a string) as a finite float."""
+    try:
+        f = float(v) if type(v) in (int, float) else math.nan
+    except OverflowError:  # an integer past the double range
+        f = math.inf
     if not math.isfinite(f):
         raise ValueError(f"expected a finite number, got {v!r}")
     return f

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ararps.hypalg import HypExpr, Kind, _canonical, _products
 
@@ -59,6 +59,12 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             HypExpr.cosh(freq)
         assert HypExpr.sinh(2.0 ** -30, 1.0).terms == ((Kind.SINH, 2.0 ** -30, 1.0),)
+
+    @pytest.mark.parametrize("freq", [1e300, -1e300])
+    def test_frequency_without_finite_cell_rejected(self, freq):
+        # its cell index freq * 2**30 is not finite
+        with pytest.raises(ValueError, match=r"1e\+300"):
+            HypExpr.cosh(freq)
 
     def test_merge_of_close_frequencies(self):
         e = HypExpr.of([(Kind.COSH, 1.0, 1.0), (Kind.COSH, 1.0 + 1e-14, 2.0)])
@@ -161,6 +167,17 @@ class TestQueries:
             1.0 + 3.0 * math.cosh(1.4) - math.sinh(0.35), rel=1e-15
         )
 
+    @pytest.mark.parametrize(
+        "expr,x",
+        [(HypExpr.cosh(1.0), 1000.0),
+         (HypExpr.cosh(1.0, 1e300) + HypExpr.cosh(1.001, -1e300), 700.0),
+         (HypExpr.cosh(1.0, 1e300), 700.0)],
+        ids=["cosh-overflow", "inf-minus-inf", "product-overflow"],
+    )
+    def test_value_past_the_double_range_named(self, expr, x):
+        with pytest.raises(OverflowError, match=rf"x={x!r} is not finite"):
+            expr(x)
+
     def test_max_abs_coeff(self):
         e = HypExpr.cosh(1.0, -4.0) + HypExpr.const(2.0)
         assert e.max_abs_coeff() == 4.0
@@ -254,3 +271,16 @@ class TestKernelMatchesReference:
     def test_products(self, pairs):
         pairs = [(a.terms, b.terms, w) for a, b, w in pairs]
         assert _hex(_products(pairs)) == _hex(_reference_products(pairs))
+
+    @given(e=hyp_exprs(), m=st.integers(1, 5))
+    @example(e=HypExpr.cosh(0.5, 5e-324) + HypExpr.sinh(2.0), m=1)  # an underflow to 0 drops
+    def test_diff_keeps_canonical_form(self, e, m):
+        # diff merges nothing; the term-wise derivative through _canonical has the same bits
+        swap = {Kind.COSH: Kind.SINH, Kind.SINH: Kind.COSH}
+        raw = []
+        for k, f, c in e.terms:
+            if k is not Kind.CONST:
+                for _ in range(m):
+                    c *= f
+                raw.append((swap[k] if m % 2 else k, f, c))
+        assert _hex(e.diff(m).terms) == _hex(_canonical(raw))

@@ -6,11 +6,12 @@ import math
 import re
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ararps.solver
 from ararps.fpseries import (
@@ -664,7 +665,44 @@ class TestExactSolution:
             builtin_example(0)
 
 
+def _json_paths(obj, prefix=()):
+    """The path of every object member and list item in a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+_EXAMPLE_2_DOC = json.loads(pde_spec_to_json(builtin_example(2)))
+_SPEC_KEYS = sorted({f.name for cls in ararps.solver._NODES.values() for f in fields(cls)}
+                    | {"node", "kind", "freq", "coeff"})
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10 ** 400, -(10 ** 400)])
+    | st.floats() | st.text(max_size=4)
+    | st.sampled_from(sorted(ararps.solver._NODES) + sorted(ararps.solver._KIND_NAMES)),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(_SPEC_KEYS), kids, max_size=4),
+    max_leaves=10,
+)
+
+
 class TestJsonSpecs:
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(_json_paths(_EXAMPLE_2_DOC))), value=_JSON_VALUES,
+           errors=st.just((ValueError, ArithmeticError)))
+    @example(path=("alpha",), value="0.5", errors=ValueError)
+    @example(path=("time_order",), value=True, errors=ValueError)
+    @example(path=("alpha",), value=10 ** 400, errors=ValueError)
+    @example(path=("ic_a", 1, "freq"), value=1e300, errors=ValueError)
+    def test_any_value_in_one_field_parses_or_raises(self, path, value, errors):
+        # ingest gives a PdeSpec or raises one of ``errors``, nothing else; the
+        # examples (a wrong JSON type, a number past a range) must not parse
+        try:
+            spec = pde_spec_from_json(_edited_spec(path, value, example_id=2))
+        except errors:
+            return
+        assert errors is not ValueError, f"parsed: {spec!r}"
+        assert isinstance(spec, PdeSpec)
+
     def test_round_trip(self):
         specs = [with_alpha(builtin_example(ex), 0.75) for ex in (1, 2, 3, 4)]
         for spec in specs + [_generic_spec(), _shared_pow_spec()]:
@@ -710,9 +748,12 @@ class TestJsonSpecs:
          lambda: _edited_spec(("ic_a", 0, "kind"), "tanh"),
          lambda: _edited_spec(("rhs", "terms", 0, "child"), 3),
          lambda: _edited_spec(("ic_a",), 5), lambda: _edited_spec(("alpha",), [0.5]),
-         lambda: _edited_spec(("rhs", "terms"), {"node": "solution"})],
+         lambda: _edited_spec(("rhs", "terms"), {"node": "solution"}),
+         lambda: _edited_spec(("alpha",), "0.5"), lambda: _edited_spec(("time_order",), True),
+         lambda: _edited_spec(("alpha",), 10 ** 400)],
         ids=["list-document", "missing-keys", "unknown-kind", "non-object-node",
-             "non-list-ic", "list-number", "object-terms"],
+             "non-list-ic", "list-number", "object-terms", "string-number", "bool-number",
+             "integer-past-double-range"],
     )
     def test_malformed_document_raises_value_error(self, text):
         # KeyError and TypeError inside the decoders surface as ValueError
@@ -765,9 +806,9 @@ def _dx_chain_spec(depth: int) -> str:
     return json.dumps(doc).replace('"RHS"', rhs)
 
 
-def _edited_spec(path, value) -> str:
-    """Example 4's JSON with the item at ``path`` set to ``value``."""
-    doc = json.loads(pde_spec_to_json(builtin_example(4)))
+def _edited_spec(path, value, example_id=4) -> str:
+    """The example's JSON with the item at ``path`` set to ``value``."""
+    doc = json.loads(pde_spec_to_json(builtin_example(example_id)))
     target = doc
     for key in path[:-1]:
         target = target[key]
