@@ -31,7 +31,6 @@ from .fpseries import (
     series_grid,
     series_mul,
     series_pow,
-    series_rl_integral,
     series_spatial_diff,
 )
 from .hypalg import HypExpr, Kind

@@ -32,11 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AraSeries:
-    """Order-two image sum_n h_n(x) / s^(n*alpha+1) of a fractional series.
-
-    The order-one image is a derived view (divide term n by (n*alpha+1) and
-    drop one power of s), never stored.
-    """
+    """Order-two image sum_n h_n(x) / s^(n*alpha+1) of a fractional series."""
 
     alpha: float
     coeffs: tuple[HypExpr, ...]
@@ -50,12 +46,6 @@ class AraSeries:
         a = self.alpha
         return math.fsum(
             h(x) / s ** (n * a + 1.0) for n, h in enumerate(self.coeffs)
-        )
-
-    def eval_order1(self, x: float, s: float) -> float:
-        a = self.alpha
-        return math.fsum(
-            h(x) / ((n * a + 1.0) * s ** (n * a)) for n, h in enumerate(self.coeffs)
         )
 
 

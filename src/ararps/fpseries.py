@@ -133,11 +133,6 @@ def series_caputo(s: FracSeries) -> FracSeries:
     return FracSeries(s.alpha, s.coeffs[1:])
 
 
-def series_rl_integral(s: FracSeries) -> FracSeries:
-    """Riemann-Liouville integral of order alpha: right shift with zero head."""
-    return FracSeries(s.alpha, (HypExpr.zero(),) + s.coeffs)
-
-
 def mul_coeff(alpha: float, a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) -> HypExpr:
     """Coefficient n of the Cauchy product of the coefficient lists a and b.
 

@@ -8,10 +8,11 @@ contributions merged when their frequencies fall in the same cell
 ``round(freq * 2**30)`` (cell 0 is the constant term), and terms whose
 coefficients sum to exactly zero dropped.  Nothing else is pruned.
 
-``_products``, the one product-to-sum kernel, is the only code that buckets
-contributions (per kind, by exact frequency); ``_merge`` then folds signs, maps
-each frequency to its cell and fsums each cell.  ``_canonical`` and ``+`` are
-products with 1; ``diff`` keeps every frequency, so it is canonical as it stands.
+``HypExpr.of`` is the one checked entry for raw terms.  ``_products``, the one
+product-to-sum kernel, is the only code that buckets contributions (per kind,
+by exact frequency); ``_merge`` then folds signs, maps each frequency to its
+cell (naming one that has none) and fsums each cell.  ``_canonical`` and ``+``
+are products with 1; ``diff`` keeps every frequency, so it is canonical as it stands.
 """
 
 from __future__ import annotations
@@ -112,14 +113,18 @@ def _merge(
     correctly rounded whatever their order.  Equal frequencies on either side
     of a cell edge stay two terms, which is harmless pointwise.  Only exact
     zeros are dropped: a small coefficient on a high frequency can still be
-    large pointwise.  A cell whose sum is not finite, fsum's overflow and
-    inf - inf errors included, raises OverflowError.
+    large pointwise.  OverflowError: a frequency at 2**994 or more has no
+    finite cell, or a cell's sum is not finite (fsum's overflow and inf - inf
+    errors included).
     """
     cosh_cells: dict[int, tuple[float, list[float]]] = {}
     sinh_cells: dict[int, tuple[float, list[float]]] = {}
     for out, freqs, odd in ((cosh_cells, cosh, False), (sinh_cells, sinh, True)):
         for f, vs in freqs.items():
-            cell = round(f * _CELLS)
+            try:
+                cell = round(f * _CELLS)
+            except OverflowError:
+                raise OverflowError(f"frequency {f!r} of a product has no finite cell") from None
             if cell < 0:
                 # cosh is even, sinh is odd
                 cell, f = -cell, -f
@@ -161,25 +166,31 @@ def _finite_nonzero(terms: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[K
     return tuple(kept)
 
 
-def _checked_freq(freq: float) -> float:
-    """``freq``, unless it is nonzero yet in cell 0, which ``_canonical`` reads as 0,
-    or its cell index ``freq * 2**30`` is not finite (``|freq|`` at 2**994 or more)."""
-    if 0.0 < abs(freq) <= 2.0 ** -31:
-        raise ValueError(f"frequency {freq!r} is nonzero but at most 2**-31")
-    if not math.isfinite(freq * _CELLS):
-        raise ValueError(f"frequency {freq!r} has no finite cell: |freq| must be below 2**994")
-    return freq
-
-
 @dataclass(frozen=True)
 class HypExpr:
-    """Immutable canonical combination of CONST/COSH/SINH terms."""
+    """Immutable canonical combination of CONST/COSH/SINH terms.
+
+    ``HypExpr(terms)`` takes canonical terms unchecked; ``of`` is the checked gate.
+    """
 
     terms: tuple[tuple[Kind, float, float], ...] = ()
 
     @staticmethod
-    def of(raw: Iterable[tuple[Kind, float, float]]) -> "HypExpr":
-        return HypExpr(_canonical(raw))
+    def of(raw: Iterable[tuple[int, float, float]]) -> "HypExpr":
+        """Canonical form of raw terms; the one check of kinds and frequencies.
+
+        A kind is read as ``Kind(k)``, so it is 0, 1, 2 or a ``Kind``.  A
+        frequency nonzero but at most 2**-31 (cell 0 would read it as 0) or
+        without a finite cell (2**994 or more, or NaN) raises ValueError,
+        whatever the kind; ``_canonical`` then refuses a CONST term off cell 0.
+        """
+        terms = [(Kind(k), float(f), float(c)) for k, f, c in raw]
+        for _, f, _ in terms:
+            if 0.0 < abs(f) <= 2.0 ** -31:
+                raise ValueError(f"frequency {f!r} is nonzero but at most 2**-31")
+            if not math.isfinite(f * _CELLS):
+                raise ValueError(f"frequency {f!r} has no finite cell: |freq| must be below 2**994")
+        return HypExpr(_canonical(terms))
 
     @staticmethod
     def zero() -> "HypExpr":
@@ -187,15 +198,15 @@ class HypExpr:
 
     @staticmethod
     def const(c: float) -> "HypExpr":
-        return HypExpr.of([(_CONST, 0.0, float(c))])
+        return HypExpr.of([(_CONST, 0.0, c)])
 
     @staticmethod
     def cosh(freq: float, coeff: float = 1.0) -> "HypExpr":
-        return HypExpr.of([(_COSH, _checked_freq(float(freq)), float(coeff))])
+        return HypExpr.of([(_COSH, freq, coeff)])
 
     @staticmethod
     def sinh(freq: float, coeff: float = 1.0) -> "HypExpr":
-        return HypExpr.of([(_SINH, _checked_freq(float(freq)), float(coeff))])
+        return HypExpr.of([(_SINH, freq, coeff)])
 
     # -- ring operations -------------------------------------------------
 

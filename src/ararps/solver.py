@@ -34,7 +34,7 @@ from typing import Any, Callable, Sequence, Union
 import mpmath
 
 from .fpseries import FracSeries, mul_coeff
-from .hypalg import HypExpr, Kind, _checked_freq
+from .hypalg import HypExpr, Kind
 from .special import _mittag_leffler, tpow
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "residual_check",
     "builtin_example",
     "exact_solution",
+    "with_alpha",
     "pde_spec_to_json",
     "pde_spec_from_json",
 ]
@@ -471,8 +472,7 @@ def _hyp_to_json(e: HypExpr) -> list[dict[str, Any]]:
 
 def _hyp_from_json(items: list[dict[str, Any]]) -> HypExpr:
     return HypExpr.of(
-        (_KIND_NAMES[it["kind"]], _checked_freq(_finite(it.get("freq", 0.0))),
-         _finite(it["coeff"]))
+        (_KIND_NAMES[it["kind"]], _finite(it.get("freq", 0.0)), _finite(it["coeff"]))
         for it in items
     )
 

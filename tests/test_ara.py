@@ -57,9 +57,6 @@ class TestSeriesMaps:
             assert img.eval_order2(x, s0) == pytest.approx(
                 ara_numeric(f, 2, s0), rel=1e-8
             )
-            assert img.eval_order1(x, s0) == pytest.approx(
-                ara_numeric(f, 1, s0), rel=1e-8
-            )
 
 
 class TestNumericTransform:

@@ -303,10 +303,10 @@ class TestCli:
          lambda d: d["rhs"]["terms"][0].update(order=1e12),
          lambda d: d.update(rhs={"node": "scale", "factor": 1e300, "child": {"node": "solution"}},
                             ic_a=[{"kind": "cosh", "freq": 1.0, "coeff": 1e10}]),
-         lambda d: d.update(alpha="0.5")],
+         lambda d: d.update(alpha="0.5"), lambda d: d["ic_a"][0].update(freq=1.5e299)],
         ids=["missing-rhs", "nan-coeff", "huge-freq", "empty-add", "non-object-node",
              "deep-ast", "overflowing-coeff", "huge-exponent", "huge-dx-order",
-             "overflowing-scale", "string-alpha"],
+             "overflowing-scale", "string-alpha", "huge-product-freq"],
     )
     def test_bad_spec_exit_2(self, tmp_path, edit):
         doc = json.loads(pde_spec_to_json(builtin_example(4)))

@@ -15,7 +15,6 @@ from ararps.fpseries import (
     series_grid,
     series_mul,
     series_pow,
-    series_rl_integral,
     series_spatial_diff,
 )
 from ararps.hypalg import HypExpr, Kind
@@ -125,16 +124,6 @@ class TestShifts:
     def test_caputo_rejects_order_zero(self):
         with pytest.raises(ValueError):
             series_caputo(FracSeries.constant(0.5, 1.0, 0))
-
-    def test_integral_then_caputo_roundtrip(self):
-        s = _random_series(random.Random(1), 0.7, 4)
-        assert series_caputo(series_rl_integral(s)) == s
-
-    def test_caputo_then_integral_loses_head(self):
-        s = _random_series(random.Random(2), 0.7, 4)
-        back = series_rl_integral(series_caputo(s))
-        assert back.coeffs[0].is_zero()
-        assert back.coeffs[1:] == s.coeffs[1:]
 
 
 class TestMul:

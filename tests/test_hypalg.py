@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -58,13 +59,34 @@ class TestCanonicalForm:
             HypExpr.sinh(freq, 1e10)
         with pytest.raises(ValueError):
             HypExpr.cosh(freq)
+        for kind in Kind:
+            with pytest.raises(ValueError, match="at most 2"):
+                HypExpr.of([(kind, freq, 1.0)])
         assert HypExpr.sinh(2.0 ** -30, 1.0).terms == ((Kind.SINH, 2.0 ** -30, 1.0),)
 
-    @pytest.mark.parametrize("freq", [1e300, -1e300])
+    @pytest.mark.parametrize("freq", [1e300, -1e300, math.nan])
     def test_frequency_without_finite_cell_rejected(self, freq):
         # its cell index freq * 2**30 is not finite
-        with pytest.raises(ValueError, match=r"1e\+300"):
+        named = re.escape(f"{freq!r} has no finite cell")
+        with pytest.raises(ValueError, match=named):
             HypExpr.cosh(freq)
+        for kind in Kind:
+            with pytest.raises(ValueError, match=named):
+                HypExpr.of([(kind, freq, 1.0)])
+
+    def test_of_reads_plain_int_kinds(self):
+        assert HypExpr.of([(1, 1.0, 2.0)]) == HypExpr.cosh(1.0, 2.0)
+        assert HypExpr.of([(1, 1.0, 2.0)]).terms[0][0] is Kind.COSH
+        assert HypExpr.of([(2, 1.0, 2.0)]) == HypExpr.sinh(1.0, 2.0)
+        assert HypExpr.of([(0, 0.0, 2.0)]) == HypExpr.const(2.0)
+        with pytest.raises(ValueError):
+            HypExpr.of([(5, 1.0, 2.0)])
+
+    def test_product_frequency_without_finite_cell_named(self):
+        # each factor passes the gate; their sum 3e299 is past 2**994
+        big = HypExpr.cosh(1.5e299)
+        with pytest.raises(OverflowError, match=r"frequency 3e\+299 of a product"):
+            big * big
 
     def test_merge_of_close_frequencies(self):
         e = HypExpr.of([(Kind.COSH, 1.0, 1.0), (Kind.COSH, 1.0 + 1e-14, 2.0)])
