@@ -78,9 +78,9 @@ def make_table(
 ) -> list[TableRow]:
     """Error table for one example: t-major blocks, x ascending."""
     p = params or ExampleParams()
+    spec = with_alpha(builtin_example(example_id, p), alpha)
     if K is None:
         K = DEFAULT_TABLE_ORDER[example_id]
-    spec = with_alpha(builtin_example(example_id, p), alpha)
     grid = series_grid(solve(spec, K).series, x_values, t_values)
     return [
         TableRow(x, t, exact_solution(example_id, p, alpha, x, t), grid[i][j])

@@ -60,16 +60,15 @@ _PREC40 = dps_to_prec(40)  # 136 bits, the precision of mpmath's workdps(40)
 
 @lru_cache(maxsize=None)
 def conv_weight(alpha: float, m: int, j: int) -> float:
-    """Gamma((m+j)a+1) / (Gamma(ma+1) Gamma(ja+1)), correctly rounded.
+    """Gamma((m+j)a+1) / (Gamma(ma+1) Gamma(ja+1)), rounded once to a double.
 
-    An integer binomial at integer alpha; otherwise the ratio of
-    ``special``'s 40-digit Gamma values, taken on their raw ``mpmath.libmp``
-    values with each step rounded to nearest at 136 bits, as ``mpf``
-    arithmetic under ``workdps(40)`` does but without building ``mpf``
-    objects, and rounded once more to a double.
+    The ratio of ``special``'s 40-digit Gamma values at every alpha, taken on
+    their raw ``mpmath.libmp`` values with each step rounded to nearest at
+    136 bits, as ``mpf`` arithmetic under ``workdps(40)`` does but without
+    building ``mpf`` objects.  At alpha = 1 it is the binomial C(m+j, m), the
+    same double for m + j <= 75; past that a binomial that is an exact tie
+    between two doubles may round to the other one, which is just as near.
     """
-    if abs(alpha - round(alpha)) < _ALPHA_TOL:
-        return float(math.comb(m + j, m))  # classical binomial, exact
     g = lambda k: _gamma40(k * alpha + 1.0)[0]._mpf_
     den = mpf_mul(g(m), g(j), _PREC40, round_nearest)
     return to_float(mpf_div(g(m + j), den, _PREC40, round_nearest), rnd=round_nearest)

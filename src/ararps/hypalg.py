@@ -53,7 +53,6 @@ def _products(pairs: Iterable[tuple[tuple, tuple, float]]) -> tuple[tuple[Kind, 
     contributions are bucketed per kind by their exact frequency, in order;
     ``_merge`` does the rest.
     """
-    const: list[float] = []
     cosh: defaultdict[float, list[float]] = defaultdict(list)
     sinh: defaultdict[float, list[float]] = defaultdict(list)
     for t1, t2, w in pairs:
@@ -67,9 +66,11 @@ def _products(pairs: Iterable[tuple[tuple, tuple, float]]) -> tuple[tuple[Kind, 
             else:
                 c2 = c
         for k1, f1, c1 in t1:
-            if k1 is _CONST:
-                if c2 is not None and (v := w * (c1 * c2)):
-                    const.append(v)
+            # a constant is cosh at f1 = 0.0: its product with c2 lands in cosh[0.0]
+            same, other = (sinh, cosh) if k1 is _SINH else (cosh, sinh)
+            if c2 is not None and (v := w * (c1 * c2)):
+                same[f1].append(v)
+            if k1 is _CONST:  # unhalved: no sum and difference frequencies
                 for f, c in cosh2:
                     if v := w * (c1 * c):
                         cosh[f].append(v)
@@ -77,9 +78,6 @@ def _products(pairs: Iterable[tuple[tuple, tuple, float]]) -> tuple[tuple[Kind, 
                     if v := w * (c1 * c):
                         sinh[f].append(v)
                 continue
-            same, other = (cosh, sinh) if k1 is _COSH else (sinh, cosh)
-            if c2 is not None and (v := w * (c1 * c2)):
-                same[f1].append(v)
             for f, c in cosh2:
                 if h := 0.5 * (w * (c1 * c)):
                     same[f1 + f].append(h)
@@ -88,7 +86,7 @@ def _products(pairs: Iterable[tuple[tuple, tuple, float]]) -> tuple[tuple[Kind, 
                 if h := 0.5 * (w * (c1 * c)):
                     other[f1 + f].append(h)
                     other[f1 - f].append(-h)
-    return _merge(const, cosh, sinh)
+    return _merge(cosh, sinh)
 
 
 def _canonical(raw: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, float, float], ...]:
@@ -100,7 +98,7 @@ def _canonical(raw: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, fl
 
 
 def _merge(
-    const: list[float], cosh: dict[float, list[float]], sinh: dict[float, list[float]]
+    cosh: dict[float, list[float]], sinh: dict[float, list[float]]
 ) -> tuple[tuple[Kind, float, float], ...]:
     """Fold signs, merge frequencies by cell, sum each cell once, drop exact zeros, sort.
 
@@ -108,14 +106,14 @@ def _merge(
     contributions, in the order the frequencies first got one.  Frequencies
     merge when kind and cell ``round(freq * 2**30)`` agree, so the merge is
     transitive and independent of term order; cosh in cell 0 is the constant
-    term, sinh there is zero.  A cell keeps its first frequency, made
-    positive; its coefficient is the ``math.fsum`` of its contributions,
-    correctly rounded whatever their order.  Equal frequencies on either side
-    of a cell edge stay two terms, which is harmless pointwise.  Only exact
-    zeros are dropped: a small coefficient on a high frequency can still be
-    large pointwise.  OverflowError: a frequency at 2**994 or more has no
-    finite cell, or a cell's sum is not finite (fsum's overflow and inf - inf
-    errors included).
+    term, at frequency 0.0, and sinh there is zero.  Any other cell keeps its
+    first frequency, made positive; its coefficient is the ``math.fsum`` of
+    its contributions, correctly rounded whatever their order.  Equal
+    frequencies on either side of a cell edge stay two terms, which is
+    harmless pointwise.  Only exact zeros are dropped: a small coefficient on
+    a high frequency can still be large pointwise.  OverflowError: a
+    frequency at 2**994 or more has no finite cell, or a cell's sum is not
+    finite (fsum's overflow and inf - inf errors included).
     """
     cosh_cells: dict[int, tuple[float, list[float]]] = {}
     sinh_cells: dict[int, tuple[float, list[float]]] = {}
@@ -130,20 +128,18 @@ def _merge(
                 cell, f = -cell, -f
                 if odd:
                     vs = [-v for v in vs]
-            if not cell:
-                if not odd:
-                    const += vs
+            if not cell and odd:
                 continue
             got = out.get(cell)
             if got is None:
                 out[cell] = (f, vs)
             else:
                 got[1].extend(vs)
-    buckets = [(_CONST, 0.0, const)] if const else []
+    buckets = []
     for kind, out in ((_COSH, cosh_cells), (_SINH, sinh_cells)):
         for cell in sorted(out):  # cells are ordered like their frequencies
             f, vs = out[cell]
-            buckets.append((kind, f, vs))
+            buckets.append((kind, f, vs) if cell else (_CONST, 0.0, vs))
     return _finite_nonzero((k, f, _fsum(vs)) for k, f, vs in buckets)
 
 

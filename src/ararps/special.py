@@ -79,9 +79,9 @@ def _mittag_leffler(alpha: float, z: float) -> mpmath.mpf:
 
 
 def tpow(t: float, p: float) -> float:
-    """t**p with the 0**0 = 1 convention of every series evaluation; OverflowError names t, p."""
-    if t == 0.0:
-        return 1.0 if p == 0.0 else 0.0
+    """t**p for t >= 0, where 0**0 = 1; ValueError for t < 0 or NaN, OverflowError names t, p."""
+    if not t >= 0.0:
+        raise ValueError(f"t**p needs t >= 0, got t={t!r}")
     try:
         return t ** p
     except OverflowError:

@@ -51,6 +51,10 @@ class TestMakeTable:
         assert rows[0].exact == 0.0
         assert rows[0].numeric == pytest.approx(0.0, abs=1e-15)
 
+    def test_unknown_example_is_value_error(self):
+        with pytest.raises(ValueError, match="unknown example id 5"):
+            make_table(5)
+
     @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
     def test_numeric_is_pointwise_eval(self, example_id):
         series = solve(builtin_example(example_id), DEFAULT_TABLE_ORDER[example_id]).series

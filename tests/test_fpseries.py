@@ -49,9 +49,18 @@ def _square(coeff):
 
 class TestConvWeight:
     def test_classical_is_binomial(self):
-        for m in range(8):
-            for j in range(8):
-                assert conv_weight(1.0, m, j) == float(math.comb(m + j, m))
+        # the Gamma ratio at alpha = 1; past m + j = 75 a binomial that ties
+        # between two doubles may round to the other one
+        for n in range(76):
+            for m in range(n + 1):
+                assert conv_weight(1.0, m, n - m) == float(math.comb(n, m))
+
+    def test_tiny_alpha_is_not_classical(self):
+        # Gamma ratios near 1 at alpha = 1e-13, not the alpha = 1 binomial 35
+        assert conv_weight(1e-13, 3, 4) == pytest.approx(1.0, abs=1e-12)
+        c3 = [solve(with_alpha(builtin_example(4), a), 4).series.coeffs[3] for a in (1e-13, 2e-12)]
+        assert c3[0].terms[0][:2] == c3[1].terms[0][:2]
+        assert c3[0](0.0) == pytest.approx(c3[1](0.0), rel=1e-9)
 
     def test_symmetry(self):
         for alpha in (0.25, 0.6, 0.9):

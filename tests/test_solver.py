@@ -412,6 +412,58 @@ class TestCoefficientPatterns:
         _assert_expr(res.series.coeffs[3], HypExpr.cosh(f, c3))
 
 
+def _shifted(e: HypExpr, x0: float) -> HypExpr:
+    """e(x + x0) in the basis: cosh(f(x+x0)) = cosh(f*x0) cosh(fx) + sinh(f*x0) sinh(fx),
+    sinh(f(x+x0)) = sinh(f*x0) cosh(fx) + cosh(f*x0) sinh(fx)."""
+    raw = []
+    for k, f, c in e.terms:
+        if k is Kind.CONST:
+            raw.append((k, f, c))
+            continue
+        ch, sh = c * math.cosh(f * x0), c * math.sinh(f * x0)
+        if k is Kind.SINH:
+            ch, sh = sh, ch
+        raw += [(Kind.COSH, f, ch), (Kind.SINH, f, sh)]
+    return HypExpr.of(raw)
+
+
+def _abs_terms(e: HypExpr, x: float) -> float:
+    return sum(abs(HypExpr((t,))(x)) for t in e.terms)
+
+
+def _lattice_spec() -> PdeSpec:
+    """The generic right-hand side with IC frequencies 0.3 * {1, 2, 3}."""
+    ic = HypExpr.cosh(0.3, 0.5) + HypExpr.sinh(0.6, -0.45) + HypExpr.cosh(0.9, 0.55)
+    return PdeSpec(1, 0.7, _generic_spec().rhs, ic)
+
+
+class TestTranslation:
+    """Every operator is autonomous in x, so the ICs shifted by x0 give c_n(x + x0).
+
+    A relation of the engine with itself, with no oracle: both sides share the
+    weights, so a wrong weight passes, but a sign error in the product kernel
+    does not.
+    """
+
+    X0 = 0.3
+
+    @pytest.mark.parametrize("spec, K", [
+        pytest.param(with_alpha(builtin_example(1), 0.5), 12, id="ex1-alpha0.5"),
+        pytest.param(with_alpha(builtin_example(2), 0.75), 12, id="ex2-alpha0.75"),
+        pytest.param(with_alpha(builtin_example(4), 0.5), 12, id="ex4-alpha0.5"),
+        pytest.param(_generic_spec(), 8, id="generic"),
+        pytest.param(_lattice_spec(), 7, id="lattice"),
+    ])
+    def test_shifted_ics_give_shifted_coefficients(self, spec, K):
+        ic_b = spec.ic_b and _shifted(spec.ic_b, self.X0)
+        moved = PdeSpec(spec.time_order, spec.alpha, spec.rhs, _shifted(spec.ic_a, self.X0), ic_b)
+        got = solve(moved, K).series.coeffs
+        for n, c in enumerate(solve(spec, K).series.coeffs):
+            want = _shifted(c, self.X0)
+            for x in (-1.1, -0.3, 0.0, 0.45, 1.3):
+                assert abs(got[n](x) - want(x)) <= 1e-12 * _abs_terms(want, x), (n, x)
+
+
 def _pde_residual_pointwise(series, alpha, x0, t0):
     """|D^alpha y - (y^3)_x + (y^3)_xxx| from quadrature + finite differences.
 
@@ -603,6 +655,15 @@ class TestExactSolution:
             assert exact_solution(ex, alpha=a, x=x, t=t) == pytest.approx(
                 exact_solution(ex, alpha=1.0, x=x, t=t), rel=1e-10
             )
+
+    def test_negative_t_below_alpha_1_is_value_error(self):
+        for ex in (1, 2, 3, 4):
+            with pytest.raises(ValueError, match="t >= 0"):
+                exact_solution(ex, None, 0.5, 0.0, -1.0)
+        # the classical waves take no t**alpha, so they keep their value at t < 0
+        assert exact_solution(1, alpha=1.0, x=0.5, t=-1.0) == pytest.approx(
+            -(2.0 / 3.0) * (math.cosh(0.75) - 1.0), rel=1e-14
+        )
 
     def test_example_4_closed_form(self):
         x, t, a = 2.0, 0.6, 0.5

@@ -77,6 +77,11 @@ class TestTpow:
         assert tpow(0.0, 0.5) == 0.0
         assert tpow(2.0, 3.0) == 8.0
 
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, -math.inf, math.nan])
+    def test_rejects_negative_and_nan_t(self, t):
+        with pytest.raises(ValueError, match=r"t >= 0, got t="):
+            tpow(t, 0.5)
+
     def test_overflow_names_t_and_p(self):
         with pytest.raises(OverflowError, match=r"t=1e\+300, p=2\.0"):
             tpow(1e300, 2.0)
