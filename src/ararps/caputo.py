@@ -76,12 +76,12 @@ def caputo_numeric(f: Callable[[float], float], alpha: float, t: float) -> float
     """Caputo derivative of order alpha in (0, 1] at time t > 0.
 
     Computed as J^(1-alpha) applied to a finite-difference derivative of f;
-    for alpha = 1 it reduces to the plain numerical derivative.
+    at alpha == 1 exactly it is the plain numerical derivative.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("caputo_numeric: alpha must be in (0, 1]")
     if t <= 0.0:
         raise ValueError("caputo_numeric: t must be positive")
-    if alpha > 1.0 - 1e-12:
+    if alpha == 1.0:
         return _derivative(f, t)
     return rl_integral_numeric(lambda tau: _derivative(f, tau), 1.0 - alpha, t)

@@ -54,7 +54,6 @@ __all__ = [
     "conv_weight",
 ]
 
-_ALPHA_TOL = 1e-12
 _PREC40 = dps_to_prec(40)  # 136 bits, the precision of mpmath's workdps(40)
 
 
@@ -119,10 +118,8 @@ class FracSeries:
 
 
 def _check_alpha(s1: FracSeries, s2: FracSeries) -> None:
-    if abs(s1.alpha - s2.alpha) > _ALPHA_TOL:
-        raise ValueError(
-            f"alpha mismatch: {s1.alpha!r} vs {s2.alpha!r}"
-        )
+    if s1.alpha != s2.alpha:
+        raise ValueError(f"alpha mismatch: {s1.alpha!r} vs {s2.alpha!r}")
 
 
 def series_caputo(s: FracSeries) -> FracSeries:
@@ -143,7 +140,7 @@ def mul_coeff(alpha: float, a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) 
     square = a is b
     pairs = []
     for m in range(n // 2 + 1 if square else n + 1):
-        w = conv_weight(alpha, m, n - m)
+        w = conv_weight(alpha, min(m, n - m), max(m, n - m))
         pairs.append((a[m].terms, b[n - m].terms, 2.0 * w if square and 2 * m < n else w))
     return HypExpr(_products(pairs))
 

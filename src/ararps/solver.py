@@ -366,14 +366,18 @@ def exact_solution(
     A*(e^(-qx)*E_alpha(z)/2 + e^(qx)*E_alpha(-z)/2 - 1), evaluated in mpmath
     and rounded once; OverflowError if that is not finite, raised before the
     cancelling E_alpha(-|z|) is summed when the E_alpha(|z|) half alone
-    decides it.  Example 4 is the hyperbolic function of t^alpha / 3.
+    decides it.  Example 4 is sqrt(1.5)*sinh((x - t^alpha)/3), a solution at
+    alpha = 1 only: below it the series converges elsewhere (0.341346, not
+    0.415851, at alpha = 0.5, x = 2, t = 1).  ValueError for alpha outside (0, 1].
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
     p = params or ExampleParams()
     if example_id == 4:
         ta = tpow(t, alpha)
         return math.sqrt(1.5) * math.sinh((x - ta) / 3.0)
     A, q, r = _wave(example_id, p)
-    if abs(alpha - 1.0) < 1e-12:
+    if alpha == 1.0:
         return A * (math.cosh(q * x - r * t) - 1.0)
     z = r * tpow(t, alpha)
     with mpmath.workdps(40):

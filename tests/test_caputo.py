@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import ararps.caputo
 from ararps.caputo import (
     ConvergenceError,
     _quad,
@@ -51,6 +52,16 @@ class TestCaputo:
     def test_classical_limit_is_derivative(self):
         got = caputo_numeric(math.sin, 1.0, 0.9)
         assert got == pytest.approx(math.cos(0.9), rel=1e-8)
+
+    def test_alpha_below_one_takes_the_quadrature(self, monkeypatch):
+        # only alpha == 1 is the plain derivative; 1 - 1e-13 is J^(1e-13) of it
+        calls = []
+        real = ararps.caputo.rl_integral_numeric
+        monkeypatch.setattr(ararps.caputo, "rl_integral_numeric",
+                            lambda f, a, t: calls.append(a) or real(f, a, t))
+        got = caputo_numeric(lambda t: t ** 1.5, 1.0 - 1e-13, 0.7)
+        assert calls
+        assert got == pytest.approx(1.5 * 0.7 ** 0.5, rel=1e-9)
 
     def test_left_inverse_of_rl_integral(self):
         # D^alpha J^alpha f = f for continuous f

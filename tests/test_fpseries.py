@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import round_down, to_float
 
+from ararps import fpseries
 from ararps.fpseries import (
     FracSeries,
     conv_weight,
@@ -66,6 +67,14 @@ class TestConvWeight:
         for alpha in (0.25, 0.6, 0.9):
             assert conv_weight(alpha, 2, 5) == conv_weight(alpha, 5, 2)
 
+    def test_products_ask_for_each_unordered_pair_once(self, monkeypatch):
+        # the weight is symmetric, so products cache it under (alpha, m, j) with m <= j
+        asked = []
+        monkeypatch.setattr(fpseries, "conv_weight",
+                            lambda a, m, j: asked.append((m, j)) or conv_weight(a, m, j))
+        solve(with_alpha(builtin_example(4), 0.5), 8)
+        assert asked and all(m <= j for m, j in asked)
+
     def test_against_gamma_definition(self):
         for alpha in (0.3, 0.5, 0.75):
             for m in range(5):
@@ -117,10 +126,14 @@ class TestFracSeries:
         assert (s1 + s2).coeffs[0] == HypExpr.const(3.0)
 
     def test_alpha_mismatch(self):
-        s1 = FracSeries.constant(0.5, 1.0, 2)
-        s2 = FracSeries.constant(0.6, 1.0, 2)
-        with pytest.raises(ValueError, match="alpha mismatch"):
-            s1 + s2
+        # alphas are compared exactly: 1e-13 and 9e-13 are different series too
+        for a1, a2 in ((0.5, 0.6), (1e-13, 9e-13)):
+            s1 = FracSeries.constant(a1, 1.0, 2)
+            s2 = FracSeries.constant(a2, 1.0, 2)
+            for a, b in ((s1, s2), (s2, s1)):
+                for op in (FracSeries.__add__, series_mul):
+                    with pytest.raises(ValueError, match="alpha mismatch"):
+                        op(a, b)
 
 
 class TestShifts:

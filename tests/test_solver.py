@@ -437,6 +437,18 @@ def _lattice_spec() -> PdeSpec:
     return PdeSpec(1, 0.7, _generic_spec().rhs, ic)
 
 
+# the specs and x points of the relations below; example 4 at alpha = 1 stays out,
+# its deep coefficients drift from any relation (3.0e-10 at K = 12 under time scaling)
+_RELATION_SPECS = [
+    pytest.param(with_alpha(builtin_example(1), 0.5), 12, id="ex1-alpha0.5"),
+    pytest.param(with_alpha(builtin_example(2), 0.75), 12, id="ex2-alpha0.75"),
+    pytest.param(with_alpha(builtin_example(4), 0.5), 12, id="ex4-alpha0.5"),
+    pytest.param(_generic_spec(), 8, id="generic"),
+    pytest.param(_lattice_spec(), 7, id="lattice"),
+]
+_RELATION_XS = (-1.1, -0.3, 0.0, 0.45, 1.3)
+
+
 class TestTranslation:
     """Every operator is autonomous in x, so the ICs shifted by x0 give c_n(x + x0).
 
@@ -447,21 +459,35 @@ class TestTranslation:
 
     X0 = 0.3
 
-    @pytest.mark.parametrize("spec, K", [
-        pytest.param(with_alpha(builtin_example(1), 0.5), 12, id="ex1-alpha0.5"),
-        pytest.param(with_alpha(builtin_example(2), 0.75), 12, id="ex2-alpha0.75"),
-        pytest.param(with_alpha(builtin_example(4), 0.5), 12, id="ex4-alpha0.5"),
-        pytest.param(_generic_spec(), 8, id="generic"),
-        pytest.param(_lattice_spec(), 7, id="lattice"),
-    ])
+    @pytest.mark.parametrize("spec, K", _RELATION_SPECS)
     def test_shifted_ics_give_shifted_coefficients(self, spec, K):
         ic_b = spec.ic_b and _shifted(spec.ic_b, self.X0)
         moved = PdeSpec(spec.time_order, spec.alpha, spec.rhs, _shifted(spec.ic_a, self.X0), ic_b)
         got = solve(moved, K).series.coeffs
         for n, c in enumerate(solve(spec, K).series.coeffs):
             want = _shifted(c, self.X0)
-            for x in (-1.1, -0.3, 0.0, 0.45, 1.3):
+            for x in _RELATION_XS:
                 assert abs(got[n](x) - want(x)) <= 1e-12 * _abs_terms(want, x), (n, x)
+
+
+class TestTimeScaling:
+    """If y solves D^(k*alpha) y = N[y], then y(x, lam*t) solves it with lam^(k*alpha)*N.
+
+    Its second IC is lam^alpha * ic_b, and its c_n is lam^(n*alpha) * c_n.  A
+    relation of the engine with itself, like translation, but one that a
+    ``Scale`` step ignoring positive factors fails.
+    """
+
+    @pytest.mark.parametrize("lam", [1.7, 0.6])
+    @pytest.mark.parametrize("spec, K", _RELATION_SPECS)
+    def test_scaled_time_gives_scaled_coefficients(self, spec, K, lam):
+        k, a = spec.time_order, spec.alpha
+        ic_b = spec.ic_b and spec.ic_b.scale(lam ** a)
+        got = solve(PdeSpec(k, a, Scale(lam ** (k * a), spec.rhs), spec.ic_a, ic_b), K).series.coeffs
+        for n, c in enumerate(solve(spec, K).series.coeffs):
+            w = lam ** (n * a)
+            for x in _RELATION_XS:
+                assert abs(got[n](x) - w * c(x)) <= 1e-12 * w * _abs_terms(c, x), (n, x)
 
 
 def _pde_residual_pointwise(series, alpha, x0, t0):
@@ -647,14 +673,25 @@ class TestExactSolution:
             2.0 * math.sinh((x - t) / 2.0) ** 2, rel=1e-14
         )
 
-    def test_fractional_reduces_to_classical(self):
+    def test_fractional_reduces_to_classical(self, monkeypatch):
         # alpha -> 1 through the series branch agrees with the closed form
+        calls = []
+        real = ararps.solver._mittag_leffler
+        monkeypatch.setattr(ararps.solver, "_mittag_leffler",
+                            lambda alpha, z: calls.append(alpha) or real(alpha, z))
         for ex in (1, 2, 3):
             a = 1.0 - 1e-13
             x, t = 1.5, 0.7
+            calls.clear()
             assert exact_solution(ex, alpha=a, x=x, t=t) == pytest.approx(
                 exact_solution(ex, alpha=1.0, x=x, t=t), rel=1e-10
             )
+            assert calls and set(calls) == {a}, ex
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, -0.5, math.nan])
+    def test_alpha_outside_range_refused(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\], got"):
+            exact_solution(1, None, alpha, 0.5, 1.0)
 
     def test_negative_t_below_alpha_1_is_value_error(self):
         for ex in (1, 2, 3, 4):
