@@ -23,9 +23,8 @@ closed form like the doubles do, about 6x an order.
 
 Evaluation multiplies each term by the cached 1/Gamma(n*alpha+1),
 ``special.rgamma``, so a deep term underflows to zero instead of
-overflowing.  ``series_grid`` evaluates each c_n(x) once per x and each
-t^(n*alpha) once per t, but multiplies and sums a point's terms as for a
-lone point, so a grid value is the same double as ``series_eval`` there.
+overflowing.  ``series_grid`` collapses the orders once per t onto the
+series' basis functions, so a point costs one product per basis function.
 """
 
 from __future__ import annotations
@@ -174,22 +173,28 @@ def series_spatial_diff(s: FracSeries, m: int = 1) -> FracSeries:
 def series_grid(s: FracSeries, xs: Sequence[float], ts: Sequence[float]) -> list[list[float]]:
     """y(x, t) on the grid xs x ts: one row per x, one column per t.
 
-    Each point is the fsum of c_n(x) * t^(n*alpha) * 1/Gamma(n*alpha+1),
-    multiplied left to right; only the factors are shared across the grid.
+    Per t, B_t[j] = fsum_n c_(n,j) * t^(n*alpha) * 1/Gamma(n*alpha+1), multiplied
+    left to right, for each basis function phi_j (exact kind and freq) of the
+    series; a point is fsum_j B_t[j] * phi_j(x), each phi_j evaluated once per x.
     A point whose value is not finite raises OverflowError naming x and t.
     """
     if not all(map(math.isfinite, chain(xs, ts))) or any(t < 0.0 for t in ts):
         raise ValueError("series_eval/series_grid: x must be finite, t finite and >= 0")
-    a = s.alpha
-    rg = [rgamma(n * a + 1.0) for n in range(len(s.coeffs))]
-    tw = [[tpow(t, n * a) for n in range(len(rg))] for t in ts]
+    rg = [rgamma(n * s.alpha + 1.0) for n in range(len(s.coeffs))]
+    basis: dict[tuple, list[tuple[int, float]]] = {}  # (kind, freq) -> its (n, c_(n,j))
+    for n, c in enumerate(s.coeffs):
+        for k, f, v in c.terms:
+            basis.setdefault((k, f), []).append((n, v))
+    tw = [[tpow(t, n * s.alpha) for n in range(len(rg))] for t in ts]
+    bt = [[_fsum(v * w[n] * rg[n] for n, v in nv) for nv in basis.values()] for w in tw]
+    units = [HypExpr(((k, f, 1.0),)) for k, f in basis]  # the phi_j
     rows = []
     for x in xs:
         try:
-            cx = [c(x) for c in s.coeffs]
-        except OverflowError:  # a coefficient past the double range at x
-            cx = [math.inf]  # so every point of the row is not finite
-        row = [_fsum(map(mul, map(mul, cx, w), rg)) for w in tw]
+            phi = [u(x) for u in units]
+        except OverflowError:  # a basis function past the double range at x
+            phi = [math.inf] * len(units)  # so every point of the row is not finite
+        row = [_fsum(map(mul, b, phi)) for b in bt]
         if not all(map(math.isfinite, row)):
             t = next(t for t, v in zip(ts, row) if not math.isfinite(v))
             raise OverflowError(f"series value at x={x!r}, t={t!r} is not finite")

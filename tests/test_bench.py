@@ -134,18 +134,21 @@ class TestSurface:
         )
         assert path.read_bytes() == ref.encode()
 
-    def test_each_coefficient_evaluated_once_per_x(self, tmp_path, monkeypatch):
-        calls = 0
+    def test_points_evaluate_the_basis_not_the_coefficients(self, tmp_path, monkeypatch):
+        coeffs = solve(with_alpha(builtin_example(1), 0.5), 24).series.coeffs
+        basis = {(k, f) for c in coeffs for k, f, _ in c.terms}
+        evaluated = []
         raw = HypExpr.__call__
 
         def counted(self, x):
-            nonlocal calls
-            calls += 1
+            evaluated.append(self)
             return raw(self, x)
 
         monkeypatch.setattr(HypExpr, "__call__", counted)
         emit_surface(1, alphas=(0.5,), K=24, out_dir=tmp_path)
-        assert calls == 21 * 25  # not 441 * 25: once per (x, n), shared by every t
+        assert not any(e in coeffs for e in evaluated)  # no c_n at any x
+        # each basis function once per x, shared by every t: at most len(basis) per point
+        assert sum(len(e.terms) for e in evaluated) == 21 * len(basis)
 
 
 class TestValidation:
@@ -217,7 +220,7 @@ class TestCli:
          ["solve", "--example", "1", "--lam", "nan"],
          ["table", "--example", "2", "--gamma", "inf", "--out", "{tmp}/t.csv"],
          ["solve", "--example", "1", "--at", "0:1e300"],
-         ["solve", "--example", "4", "--order", "2", "--at", "2000:1e10"]],
+         ["solve", "--example", "4", "--order", "2", "--at", "2000:1e11"]],
         ids=["order", "alpha-0", "alpha-1.5", "negative-t", "v", "v-in-constant-cell",
              "table-order", "surface-alpha", "s", "transform-overflow",
              "transform-underflowing-s", "transform-bad-exponent", "table-gamma-overflow",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import round_down, to_float
 
 from ararps import fpseries
+from ararps.bench import REFERENCE_T, REFERENCE_X
 from ararps.fpseries import (
     FracSeries,
     conv_weight,
@@ -41,6 +42,19 @@ _raw_term = st.tuples(st.just(Kind.CONST), st.just(0.0), _normal_coeff) | st.tup
     st.sampled_from([0.4, 0.8, 1.2, 0.4 * math.sqrt(2.0)]) | st.floats(0.1, 3.0),
     _normal_coeff,
 )
+
+
+def _reference(s, x, t):
+    """Sum_n c_n(x) t^(n*alpha) / Gamma(n*alpha+1) at 30 digits from the stored
+    double terms, and the sum of the terms' absolute values."""
+    phi = {Kind.CONST: lambda z: 1, Kind.COSH: mpmath.cosh, Kind.SINH: mpmath.sinh}
+    with mpmath.workdps(30):
+        terms = []
+        for n, c in enumerate(s.coeffs):
+            p = n * mpmath.mpf(s.alpha)
+            w = mpmath.mpf(t) ** p * mpmath.rgamma(p + 1)
+            terms += [v * phi[k](mpmath.mpf(f) * x) * w for k, f, v in c.terms]
+        return float(mpmath.fsum(terms)), float(mpmath.fsum(map(abs, terms)))
 
 
 def _square(coeff):
@@ -270,13 +284,33 @@ class TestGrid:
             with pytest.raises(ValueError):
                 series_grid(s, xs, ts)
 
-    @pytest.mark.parametrize("x,t", [(2000.0, 1e10), (2100.0, 1e5), (3000.0, 1.0)],
+    @pytest.mark.parametrize("x,t", [(2000.0, 1e11), (2100.0, 1e5), (3000.0, 1.0)],
                              ids=["inf", "inf-minus-inf", "cosh-overflow"])
     def test_point_past_the_double_range_named(self, x, t):
-        # a product, a sum or a c_n(x) that leaves the doubles: one error naming the point
+        # a value (1.2e310 at the first), a sum or a basis function that leaves the
+        # doubles: one error naming the point
         s = solve(builtin_example(4), 2).series
         with pytest.raises(OverflowError, match=f"x={x!r}, t={t!r} is not finite"):
             series_grid(s, [0.0, x], [t])
+
+    def test_point_near_the_double_range_finite(self):
+        # c_2(x) * t^2 alone is 2.3e308, but the value is 1.1519e308
+        s = solve(builtin_example(4), 2).series
+        want, _ = _reference(s, 2000.0, 1e10)
+        got = series_eval(s, 2000.0, 1e10)
+        assert abs(got - want) <= 1e-14 * abs(want)
+        assert 1.15e308 < got < 1.16e308
+
+    @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    def test_grid_matches_mpmath_sum_of_terms(self, example_id, alpha):
+        # table grid and surface points against 30 digits, within 8 ulps of sum |terms|
+        s = solve(with_alpha(builtin_example(example_id), alpha), 24).series
+        for xs, ts in ((REFERENCE_X, REFERENCE_T), ((-1.0, -0.3, 0.5, 1.0), (0.0, 0.05, 0.5, 1.0))):
+            for x, row in zip(xs, series_grid(s, xs, ts)):
+                for t, got in zip(ts, row):
+                    want, size = _reference(s, x, t)
+                    assert abs(got - want) <= 8 * 2.0 ** -53 * size, (x, t)
 
     def test_empty_axes(self):
         s = FracSeries.constant(0.5, 1.0, 2)

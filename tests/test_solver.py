@@ -470,6 +470,45 @@ class TestTranslation:
                 assert abs(got[n](x) - want(x)) <= 1e-12 * _abs_terms(want, x), (n, x)
 
 
+def _reflected(e: HypExpr) -> HypExpr:
+    """e(-x) in the basis: cosh is even, sinh is odd."""
+    return HypExpr(tuple((k, f, -c if k is Kind.SINH else c) for k, f, c in e.terms))
+
+
+def _reflected_rhs(node):
+    """The operator on y(-x): each odd-order Dx wrapped in Scale(-1, .)."""
+    if isinstance(node, Dx):
+        inner = Dx(node.order, _reflected_rhs(node.child))
+        return Scale(-1.0, inner) if node.order % 2 else inner
+    if isinstance(node, Scale):
+        return Scale(node.factor, _reflected_rhs(node.child))
+    if isinstance(node, PowInt):
+        return PowInt(node.exponent, _reflected_rhs(node.child))
+    if isinstance(node, Mul):
+        return Mul(_reflected_rhs(node.left), _reflected_rhs(node.right))
+    if isinstance(node, Add):
+        return Add(tuple(map(_reflected_rhs, node.terms)))
+    return node  # Solution, Const
+
+
+class TestReflection:
+    """Every operator is covariant under x -> -x up to the sign of odd Dx, so the
+    reflected ICs (sinh coefficients negated) give c_n(-x) for the reflected operator.
+
+    A relation of the engine with itself, like translation, but one that a
+    derivative keeping the kind of its term fails.
+    """
+
+    @pytest.mark.parametrize("spec, K", _RELATION_SPECS)
+    def test_reflected_ics_give_reflected_coefficients(self, spec, K):
+        ic_b = spec.ic_b and _reflected(spec.ic_b)
+        moved = PdeSpec(spec.time_order, spec.alpha, _reflected_rhs(spec.rhs), _reflected(spec.ic_a), ic_b)
+        got = solve(moved, K).series.coeffs
+        for n, c in enumerate(solve(spec, K).series.coeffs):
+            for x in _RELATION_XS:
+                assert abs(got[n](x) - c(-x)) <= 1e-12 * _abs_terms(c, x), (n, x)
+
+
 class TestTimeScaling:
     """If y solves D^(k*alpha) y = N[y], then y(x, lam*t) solves it with lam^(k*alpha)*N.
 
