@@ -4,7 +4,8 @@ The order-n transform of y(t) is  G_n[y](s) = s * int_0^inf t^(n-1) e^(-st) y dt
 For the solver only the exact series-level maps matter (h_n = (n*alpha+1) c_n
 between a FracSeries and its order-two image); the quadrature routines exist
 to verify the transform identities independently of the formal algebra.
-Quadrature runs on caputo's shared core; fractional derivatives come from the caller.
+Quadrature runs on caputo's shared core, in the scale-free variable u = s*t;
+fractional derivatives come from the caller.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .caputo import _quad
+from .caputo import _TOL, _quad
 from .fpseries import FracSeries
 from .hypalg import HypExpr
 from .special import gamma
@@ -63,38 +64,36 @@ def from_ara(a: AraSeries) -> FracSeries:
     )
 
 
-# absolute tolerance and panel limit of ara_numeric's quadrature
-_QUAD_TOL = 1e-10
-_QUAD_PANELS = 300
 # the two coefficients of verify_property's linearity check (property 1)
 _LIN_A, _LIN_B = 2.0, 3.0
 
 
 def ara_numeric(f: Callable[[float], float], n: int, s: float) -> float:
-    """Adaptive quadrature of s * int_0^T t^(n-1) e^(-st) f(t) dt.
+    """Adaptive quadrature of s * int_0^inf t^(n-1) e^(-st) f(t) dt.
 
-    T is a horizon where the exponential tail is negligible; a warning is
-    emitted when the estimated tail bound exceeds the quadrature tolerance.
+    With u = s*t it is s^(1-n) * int_0^U u^(n-1) e^(-u) f(u/s) du, split at
+    u = 1, so the integrand has the same scale at every s.  The horizon U
+    starts at 60 and grows 1.5x while the integrand exceeds 1e-16, up to
+    1400; a warning is emitted when the integrand at U still exceeds the
+    quadrature tolerance.  A non-finite integral raises OverflowError naming s.
     """
     if n not in (1, 2):
         raise ValueError("ara_numeric: transform order must be 1 or 2")
     if not 0.0 < s < math.inf:
         raise ValueError(f"ara_numeric: s must be finite and positive, got {s!r}")
 
-    def integrand(t: float) -> float:
-        return t ** (n - 1) * math.exp(-s * t) * f(t)
+    def integrand(u: float) -> float:
+        return u ** (n - 1) * math.exp(-u) * f(u / s)
 
-    T = 60.0 / s
-    while abs(integrand(T)) > 1e-16 and T < 1400.0 / s:
-        T *= 1.5
-    tail = abs(integrand(T)) / s  # crude e^(-sT)-scale bound
-    if s * tail > _QUAD_TOL:
-        warnings.warn(
-            f"ara_numeric: tail bound {s * tail:.3e} at T={T:.3g} exceeds tol",
-            stacklevel=2,
-        )
-    points = [1.0 / s] if 1.0 / s < T else None
-    return s * _quad(integrand, 0.0, T, 0.1 * _QUAD_TOL, 1e-11, _QUAD_PANELS, points)
+    U = 60.0
+    while abs(integrand(U)) > 1e-16 and U < 1400.0:
+        U *= 1.5
+    if abs(integrand(U)) > _TOL:
+        warnings.warn(f"ara_numeric: tail {integrand(U):.3e} at u={U:.3g} exceeds tol", stacklevel=2)
+    value = (1.0 / s) ** (n - 1) * _quad(integrand, 0.0, U, [1.0])  # 1/s may be inf
+    if not math.isfinite(value):
+        raise OverflowError(f"ara_numeric: transform at s={s!r} is not finite")
+    return value
 
 
 def ara_monomial(p: float, n: int, s: float) -> float:
@@ -121,12 +120,9 @@ def _richardson_limit(values: Sequence[float], s_values: Sequence[float], alpha:
     Requires geometrically spaced s values; eliminates the 1/s^alpha,
     1/s^(2 alpha), ... terms successively.
     """
-    if len(values) < 2:
-        return values[0]
-    r = s_values[1] / s_values[0]
     vals = list(values)
     for level in range(1, len(vals)):
-        fac = r ** (level * alpha)
+        fac = (s_values[1] / s_values[0]) ** (level * alpha)
         vals = [
             (fac * vals[i + 1] - vals[i]) / (fac - 1.0)
             for i in range(len(vals) - 1)
@@ -155,51 +151,30 @@ def verify_property(
     f0 = f(0.0)
     if property_id in (3, 5, 6) and dalpha_f is None or property_id == 6 and d2alpha_f is None:
         raise ValueError(f"property {property_id} needs dalpha_f (and d2alpha_f for 6)")
-
-    disc: list[float] = []
-    if property_id == 1:
-        if g is None:
-            g = lambda t: f(t) ** 2
-        for s in s_values:
-            combo = ara_numeric(lambda t: _LIN_A * f(t) + _LIN_B * g(t), 2, s)
-            parts = _LIN_A * ara_numeric(f, 2, s) + _LIN_B * ara_numeric(g, 2, s)
-            disc.append(abs(combo - parts))
-    elif property_id == 2:
-        vals = [ara_numeric(f, 1, s) for s in s_values]
-        disc.append(abs(_richardson_limit(vals, s_values, alpha) - f0))
-    elif property_id == 3:
-        for s in s_values:
-            lhs = ara_numeric(dalpha_f, 1, s)
-            rhs = s ** alpha * ara_numeric(f, 1, s) - s ** alpha * f0
-            disc.append(abs(lhs - rhs))
-    elif property_id == 4:
-        for s in s_values:
-            lhs = ara_numeric(lambda t: t ** alpha, 2, s)
-            disc.append(abs(lhs - ara_monomial(alpha, 2, s)))
-    elif property_id == 5:
-        for s in s_values:
-            lhs = ara_numeric(dalpha_f, 2, s)
-            rhs = (
-                s ** alpha * ara_numeric(f, 2, s)
-                - alpha * s ** (alpha - 1.0) * ara_numeric(f, 1, s)
-                + (alpha - 1.0) * s ** (alpha - 1.0) * f0
-            )
-            disc.append(abs(lhs - rhs))
-    elif property_id == 6:
-        # D^alpha f at 0+; supply dalpha_f0 when the limit is known exactly
-        b0 = dalpha_f(1e-12) if dalpha_f0 is None else dalpha_f0
-        for s in s_values:
-            lhs = ara_numeric(d2alpha_f, 2, s)
-            rhs = (
-                s ** (2 * alpha) * ara_numeric(f, 2, s)
-                - 2 * alpha * s ** (2 * alpha - 1.0) * ara_numeric(f, 1, s)
-                + (2 * alpha - 1.0) * s ** (2 * alpha - 1.0) * f0
-                + (alpha - 1.0) * s ** (alpha - 1.0) * b0
-            )
-            disc.append(abs(lhs - rhs))
-    elif property_id == 7:
-        vals = [s * ara_numeric(f, 2, s) for s in s_values]
-        disc.append(abs(_richardson_limit(vals, s_values, alpha) - f0))
+    a = alpha
+    g = g or (lambda t: f(t) ** 2)
+    # D^alpha f at 0+ (property 6); supply dalpha_f0 when the limit is known exactly
+    b0 = dalpha_f(1e-12) if dalpha_f0 is None and property_id == 6 else dalpha_f0
+    G1 = lambda h, s: ara_numeric(h, 1, s)
+    G2 = lambda h, s: ara_numeric(h, 2, s)
+    identities = {  # s -> (lhs, rhs)
+        1: lambda s: (G2(lambda t: _LIN_A * f(t) + _LIN_B * g(t), s),
+                      _LIN_A * G2(f, s) + _LIN_B * G2(g, s)),
+        3: lambda s: (G1(dalpha_f, s), s ** a * G1(f, s) - s ** a * f0),
+        4: lambda s: (G2(lambda t: t ** a, s), ara_monomial(a, 2, s)),
+        5: lambda s: (G2(dalpha_f, s), s ** a * G2(f, s) - a * s ** (a - 1.0) * G1(f, s)
+                      + (a - 1.0) * s ** (a - 1.0) * f0),
+        6: lambda s: (G2(d2alpha_f, s), s ** (2 * a) * G2(f, s)
+                      - 2 * a * s ** (2 * a - 1.0) * G1(f, s)
+                      + (2 * a - 1.0) * s ** (2 * a - 1.0) * f0
+                      + (a - 1.0) * s ** (a - 1.0) * b0),
+    }
+    limits = {2: lambda s: G1(f, s), 7: lambda s: s * G2(f, s)}  # v(s) -> f(0)
+    if property_id in identities:
+        disc = [abs(lhs - rhs) for lhs, rhs in map(identities[property_id], s_values)]
+    elif property_id in limits:
+        vals = [limits[property_id](s) for s in s_values]
+        disc = [abs(_richardson_limit(vals, s_values, alpha) - f0)]
     else:
         raise ValueError(f"unknown property id {property_id!r}")
     return PropertyReport(property_id, tuple(disc), max(disc))

@@ -2,10 +2,10 @@
 quadrature core of every numeric oracle.
 
 These quadrature-based operators are validation oracles for the exact
-series machinery; they never sit on the solver path, so their tolerances
-are deliberately looser (1e-5-ish, capped by the finite-difference inner
-derivative) than the exact-arithmetic 1e-12 elsewhere.  This is the only
-module that imports scipy.
+series machinery; they never sit on the solver path.  Every quadrature,
+here and in ``ara``, is one ``_quad`` call at one tolerance ``_TOL``; the
+Caputo derivative is further capped (about 1e-5 relative) by its
+finite-difference inner derivative.  This is the only module that imports scipy.
 """
 
 from __future__ import annotations
@@ -19,24 +19,25 @@ from .special import rgamma
 
 __all__ = ["ConvergenceError", "rl_integral_numeric", "caputo_numeric"]
 
-# quadrature tolerance and panel limit of rl_integral_numeric
-_TOL = 1e-9
-_PANELS = 200
+# absolute and relative tolerance, and panel limit, of every quadrature
+_TOL = 1e-11
+_PANELS = 300
 # relative step of caputo_numeric's finite-difference inner derivative
 _STEP = 1e-5
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-def _quad(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel: float,
-          limit: int, points: Sequence[float] | None = None) -> float:
-    """int_a^b f; ConvergenceError if the error estimate exceeds 1e-6 * (1 + |value|)."""
+def _quad(f: Callable[[float], float], a: float, b: float,
+          points: Sequence[float] | None = None) -> float:
+    """int_a^b f, adaptive to _TOL absolute and relative in at most _PANELS panels,
+    split at ``points``; ConvergenceError if the error estimate exceeds 1e-6 * (1 + |value|)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
         val, err = scipy.integrate.quad(
-            f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, points=points
+            f, a, b, epsabs=_TOL, epsrel=_TOL, limit=_PANELS, points=points
         )
     if err > 1e-6 * (1.0 + abs(val)):
         raise ConvergenceError(f"quadrature error estimate {err:.3e} exceeds budget")
@@ -60,7 +61,7 @@ def rl_integral_numeric(f: Callable[[float], float], alpha: float, t: float) -> 
     def integrand(u: float) -> float:
         return f(t * (1.0 - u ** inv))
 
-    return t ** alpha * rgamma(alpha + 1.0) * _quad(integrand, 0.0, 1.0, _TOL, _TOL, _PANELS)
+    return t ** alpha * rgamma(alpha + 1.0) * _quad(integrand, 0.0, 1.0)
 
 
 def _derivative(f: Callable[[float], float], tau: float) -> float:

@@ -192,14 +192,22 @@ def series_grid(s: FracSeries, xs: Sequence[float], ts: Sequence[float]) -> list
     for x in xs:
         try:
             phi = [u(x) for u in units]
-        except OverflowError:  # a basis function past the double range at x
-            phi = [math.inf] * len(units)  # so every point of the row is not finite
-        row = [_fsum(map(mul, b, phi)) for b in bt]
+            row = [_fsum(map(mul, b, phi)) for b in bt]
+        except OverflowError:  # a phi_j past the double range at x is inf, and counts
+            phi = [_or_inf(u, x) for u in units]  # only where its weight is nonzero
+            row = [_fsum(w * p for w, p in zip(b, phi) if w) for b in bt]
         if not all(map(math.isfinite, row)):
             t = next(t for t, v in zip(ts, row) if not math.isfinite(v))
             raise OverflowError(f"series value at x={x!r}, t={t!r} is not finite")
         rows.append(row)
     return rows
+
+
+def _or_inf(u: HypExpr, x: float) -> float:
+    try:
+        return u(x)
+    except OverflowError:
+        return math.inf
 
 
 def series_eval(s: FracSeries, x: float, t: float) -> float:

@@ -68,6 +68,17 @@ class TestNumericTransform:
                     got = ara_numeric(lambda t: t ** p, n, s)
                     assert got == pytest.approx(ref, rel=1e-8)
 
+    @pytest.mark.parametrize("p,n,s", [(2.0, 2, 1000.0), (0.5, 1, 1e-303)])
+    def test_monomial_at_extreme_s(self, p, n, s):
+        # the integrand in u = s*t has the same scale at every s
+        got = ara_numeric(lambda t: t ** p, n, s)
+        assert got == pytest.approx(ara_monomial(p, n, s), rel=1e-12, abs=0.0)
+
+    def test_integrand_past_double_range_named(self):
+        # f(u/s) = inf at s = 5e-324: no finite value, and s is named
+        with pytest.raises(OverflowError, match="s=5e-324"):
+            ara_numeric(lambda t: t ** 0.5, 1, 5e-324)
+
     def test_order_one_of_constant(self):
         # G_1[1] = 1 for every s
         for s in (0.5, 3.0, 50.0):
@@ -129,6 +140,16 @@ class TestProperties:
             dalpha_f0=0.0,
         )
         assert rep.max_discrepancy < 1e-6
+
+    def test_second_derivative_identity_default_initial_derivative(self):
+        # f = t^alpha: D^alpha f = Gamma(alpha+1) everywhere, so dalpha_f(1e-12) is the
+        # exact D^alpha f(0+) and the b0 term of the identity is nonzero
+        alpha = 0.5
+        kw = dict(alpha=alpha, dalpha_f=lambda t: gamma(alpha + 1.0), d2alpha_f=lambda t: 0.0)
+        rep = verify_property(6, lambda t: t ** alpha, S_GRID, **kw)
+        assert rep.max_discrepancy < 1e-8
+        assert rep == verify_property(6, lambda t: t ** alpha, S_GRID, dalpha_f0=gamma(1.5), **kw)
+        assert verify_property(6, lambda t: t ** alpha, S_GRID, dalpha_f0=0.0, **kw).max_discrepancy > 0.1
 
     def test_monomial_property(self):
         rep = verify_property(4, lambda t: t, S_GRID, alpha=0.7)

@@ -220,21 +220,22 @@ class TestCli:
          ["solve", "--example", "1", "--lam", "nan"],
          ["table", "--example", "2", "--gamma", "inf", "--out", "{tmp}/t.csv"],
          ["solve", "--example", "1", "--at", "0:1e300"],
-         ["solve", "--example", "4", "--order", "2", "--at", "2000:1e11"]],
+         ["solve", "--example", "4", "--order", "2", "--at", "2000:1e11"],
+         ["transform", "--fn", "t^0.5", "--n", "1", "--s", "5e-324"]],
         ids=["order", "alpha-0", "alpha-1.5", "negative-t", "v", "v-in-constant-cell",
              "table-order", "surface-alpha", "s", "transform-overflow",
              "transform-underflowing-s", "transform-bad-exponent", "table-gamma-overflow",
              "table-lam-overflow", "surface-gamma-overflow", "table-out-missing-dir",
              "surface-out-dir-is-file", "solve-spec-directory", "point-nan-t", "s-nan",
              "s-inf", "solve-lam-nan", "table-gamma-inf", "point-t-overflow",
-             "point-value-overflow"],
+             "point-value-overflow", "transform-integrand-past-double-range"],
     )
     def test_bad_flag_exit_2(self, args, tmp_path):
         (tmp_path / "file").write_text("")
         res = self.runner.invoke(cli, [a.format(tmp=tmp_path) for a in args])
         assert res.exit_code == 2
         assert "Error:" in res.output
-        for big in ("1e200", "1e300"):  # an overflowing value is named in the message
+        for big in ("1e200", "1e300", "5e-324"):  # an out-of-range value is named in the message
             if any(big in a for a in args):
                 assert repr(float(big)) in res.output
 

@@ -301,6 +301,16 @@ class TestGrid:
         assert abs(got - want) <= 1e-14 * abs(want)
         assert 1.15e308 < got < 1.16e308
 
+    def test_overflowing_basis_function_without_weight_ignored(self):
+        # c_8's cosh(20.4x) overflows at x = 300, but at t = 0 its weight is 0:
+        # the value is c_0(300) = 6.1e155, not 0 * inf
+        from test_solver import _generic_spec
+
+        s = solve(_generic_spec(), 8).series
+        assert series_eval(s, 300.0, 0.0) == pytest.approx(s.coeffs[0](300.0), rel=1e-15)
+        with pytest.raises(OverflowError, match="x=300.0, t=0.5 is not finite"):
+            series_grid(s, [300.0], [0.0, 0.5])
+
     @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     def test_grid_matches_mpmath_sum_of_terms(self, example_id, alpha):
