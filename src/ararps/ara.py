@@ -5,17 +5,17 @@ For the solver only the exact series-level maps matter (h_n = (n*alpha+1) c_n
 between a FracSeries and its order-two image); the quadrature routines exist
 to verify the transform identities independently of the formal algebra.
 Quadrature runs on caputo's shared core, in the scale-free variable u = s*t;
-fractional derivatives come from the caller.
+fractional derivatives come from the caller.  A closed form takes s^(-k) as
+one power: an underflow gives 0, a value past the double range OverflowError.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .caputo import _TOL, _quad
+from .caputo import _quad
 from .fpseries import FracSeries
 from .hypalg import HypExpr
 from .special import gamma
@@ -45,9 +45,8 @@ class AraSeries:
     def eval_order2(self, x: float, s: float) -> float:
         """Numeric value of the order-two image at (x, s)."""
         a = self.alpha
-        return math.fsum(
-            h(x) / s ** (n * a + 1.0) for n, h in enumerate(self.coeffs)
-        )
+        terms = [(h(x), n * a + 1.0) for n, h in enumerate(self.coeffs)]  # OverflowError naming x
+        return _sum_in_s("eval_order2: image", s, terms)
 
 
 def to_ara(s: FracSeries) -> AraSeries:
@@ -64,6 +63,17 @@ def from_ara(a: AraSeries) -> FracSeries:
     )
 
 
+def _sum_in_s(what: str, s: float, terms: Sequence[tuple[float, float]]) -> float:
+    """The sum of c * s^(-k) over the (c, k) pairs; OverflowError naming s if it is not finite."""
+    try:
+        value = math.fsum(c * s ** -k for c, k in terms)
+    except (OverflowError, ValueError):  # a power past the double range, or inf - inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} at s={s!r} is not finite")
+    return value
+
+
 # the two coefficients of verify_property's linearity check (property 1)
 _LIN_A, _LIN_B = 2.0, 3.0
 
@@ -74,8 +84,8 @@ def ara_numeric(f: Callable[[float], float], n: int, s: float) -> float:
     With u = s*t it is s^(1-n) * int_0^U u^(n-1) e^(-u) f(u/s) du, split at
     u = 1, so the integrand has the same scale at every s.  The horizon U
     starts at 60 and grows 1.5x while the integrand exceeds 1e-16, up to
-    1400; a warning is emitted when the integrand at U still exceeds the
-    quadrature tolerance.  A non-finite integral raises OverflowError naming s.
+    1400.  A non-finite integral, or an OverflowError from f, raises
+    OverflowError naming s.
     """
     if n not in (1, 2):
         raise ValueError("ara_numeric: transform order must be 1 or 2")
@@ -85,26 +95,27 @@ def ara_numeric(f: Callable[[float], float], n: int, s: float) -> float:
     def integrand(u: float) -> float:
         return u ** (n - 1) * math.exp(-u) * f(u / s)
 
-    U = 60.0
-    while abs(integrand(U)) > 1e-16 and U < 1400.0:
-        U *= 1.5
-    if abs(integrand(U)) > _TOL:
-        warnings.warn(f"ara_numeric: tail {integrand(U):.3e} at u={U:.3g} exceeds tol", stacklevel=2)
-    value = (1.0 / s) ** (n - 1) * _quad(integrand, 0.0, U, [1.0])  # 1/s may be inf
+    try:
+        U = 60.0
+        while abs(integrand(U)) > 1e-16 and U < 1400.0:
+            U *= 1.5
+        value = (1.0 / s) ** (n - 1) * _quad(integrand, 0.0, U, [1.0])  # 1/s may be inf
+    except OverflowError:  # f past the double range
+        value = math.inf
     if not math.isfinite(value):
         raise OverflowError(f"ara_numeric: transform at s={s!r} is not finite")
     return value
 
 
 def ara_monomial(p: float, n: int, s: float) -> float:
-    """Closed form G_n[t^p] = Gamma(p + n) / s^(p + n - 1)."""
+    """Closed form G_n[t^p] = Gamma(p + n) * s^(1 - p - n)."""
     if p < 0.0:
         raise ValueError("ara_monomial: exponent must be >= 0")
     if n not in (1, 2):
         raise ValueError("ara_monomial: transform order must be 1 or 2")
     if not 0.0 < s < math.inf:
         raise ValueError(f"ara_monomial: s must be finite and positive, got {s!r}")
-    return gamma(p + n) / s ** (p + n - 1.0)
+    return _sum_in_s("ara_monomial: transform", s, [(gamma(p + n), p + n - 1.0)])
 
 
 @dataclass(frozen=True)

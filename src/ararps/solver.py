@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import partial, reduce
 from operator import add
 from typing import Any, Callable, Sequence, Union
@@ -395,13 +395,15 @@ def exact_solution(
 
 
 # --------------------------------------------------------------------------
-# JSON ingestion (schema documented in the README).  A node's JSON keys are
-# its dataclass field names, in field order, after the "node" tag.
+# JSON I/O (schema documented in the README).  The JSON keys of a node, after
+# its "node" tag, and of the spec are their dataclass field names, in field
+# order; one table decodes each field by its annotation, and one encoder
+# writes both (a None field is left out).
 
 _NODES = {"solution": Solution, "const": Const, "add": Add, "scale": Scale,
           "mul": Mul, "pow": PowInt, "dx": Dx}
 _TAGS = {cls: tag for tag, cls in _NODES.items()}
-# deepest JSON AST decoded (it recurses per level); the built-in examples reach 6
+# most levels below a JSON spec, so deepest AST (decoding recurses); the examples reach 6
 _MAX_AST_DEPTH = 100
 
 
@@ -423,26 +425,33 @@ def _integral(v: Any) -> int:
     return int(f)
 
 
-def _ast_to_json(node: OperatorAst) -> dict[str, Any]:
-    doc: dict[str, Any] = {"node": _TAGS[type(node)]}
-    for f in fields(node):
-        v = getattr(node, f.name)
-        if type(v) in _TAGS:
-            v = _ast_to_json(v)
-        elif isinstance(v, tuple):
-            v = [_ast_to_json(t) for t in v]
-        doc[f.name] = v
-    return doc
+def _to_json(v: Any) -> Any:
+    """A node or the spec as a JSON object, a ``HypExpr`` as its term list, a scalar as itself."""
+    if isinstance(v, HypExpr):
+        return [{"kind": k.name.lower(), "freq": f, "coeff": c} for k, f, c in v.terms]
+    if isinstance(v, tuple):
+        return [_to_json(t) for t in v]
+    if not is_dataclass(v):
+        return v
+    doc = {"node": _TAGS[type(v)]} if type(v) in _TAGS else {}
+    return doc | {f.name: _to_json(getattr(v, f.name)) for f in fields(v) if getattr(v, f.name) is not None}
 
 
-def _check_depth(obj: Any) -> None:
-    """Reject a JSON AST deeper than ``_MAX_AST_DEPTH`` before decoding it."""
-    level = [obj]
-    for _ in range(_MAX_AST_DEPTH):
+def _check_depth(doc: Any) -> Any:
+    """Return a JSON spec unless an object lies more than ``_MAX_AST_DEPTH`` levels below it."""
+    level = [doc]
+    for _ in range(_MAX_AST_DEPTH + 1):
         level = [c for o in level if isinstance(o, dict) for v in o.values()
                  for c in (v if isinstance(v, list) else [v]) if isinstance(c, dict)]
     if level:
-        raise ValueError(f"operator AST deeper than {_MAX_AST_DEPTH} levels")
+        raise ValueError(f"JSON spec (its operator AST too) deeper than {_MAX_AST_DEPTH} levels")
+    return doc
+
+
+def _from_fields(cls: type, obj: dict[str, Any]) -> Any:
+    """A node or the spec from its JSON object; a field with a default may be absent."""
+    return cls(**{f.name: _FIELD_DECODERS[f.type](obj[f.name]) for f in fields(cls)
+                  if f.default is MISSING or f.name in obj})
 
 
 def _ast_from_json(obj: Any) -> OperatorAst:
@@ -452,26 +461,10 @@ def _ast_from_json(obj: Any) -> OperatorAst:
     cls = _NODES.get(tag)
     if cls is None:
         raise ValueError(f"unknown AST node tag {tag!r} (expected one of {sorted(_NODES)})")
-    return cls(*(_FIELD_DECODERS[f.type](obj[f.name]) for f in fields(cls)))
+    return _from_fields(cls, obj)
 
-
-# decoder per field annotation, as written in the node classes (annotations
-# are strings under ``from __future__ import annotations``)
-_FIELD_DECODERS = {
-    "float": _finite,
-    "int": _integral,
-    "OperatorAst": _ast_from_json,
-    "tuple[OperatorAst, ...]": lambda v: tuple(map(_ast_from_json, v)),
-}
 
 _KIND_NAMES = {"const": Kind.CONST, "cosh": Kind.COSH, "sinh": Kind.SINH}
-
-
-def _hyp_to_json(e: HypExpr) -> list[dict[str, Any]]:
-    return [
-        {"kind": kind.name.lower(), "freq": freq, "coeff": coeff}
-        for kind, freq, coeff in e.terms
-    ]
 
 
 def _hyp_from_json(items: list[dict[str, Any]]) -> HypExpr:
@@ -481,31 +474,26 @@ def _hyp_from_json(items: list[dict[str, Any]]) -> HypExpr:
     )
 
 
+# decoder per field annotation, as written in the node classes and ``PdeSpec``
+# (annotations are strings under ``from __future__ import annotations``)
+_FIELD_DECODERS = {
+    "float": _finite,
+    "int": _integral,
+    "OperatorAst": _ast_from_json,
+    "tuple[OperatorAst, ...]": lambda v: tuple(map(_ast_from_json, v)),
+    "HypExpr": _hyp_from_json,
+    "HypExpr | None": _hyp_from_json,
+}
+
+
 def pde_spec_to_json(spec: PdeSpec) -> str:
-    doc: dict[str, Any] = {
-        "time_order": spec.time_order,
-        "alpha": spec.alpha,
-        "rhs": _ast_to_json(spec.rhs),
-        "ic_a": _hyp_to_json(spec.ic_a),
-    }
-    if spec.ic_b is not None:
-        doc["ic_b"] = _hyp_to_json(spec.ic_b)
-    return json.dumps(doc, indent=2)
+    return json.dumps(_to_json(spec), indent=2)
 
 
 def pde_spec_from_json(text: str) -> PdeSpec:
     """Parse a spec; a malformed document (a missing key or a wrong type too) raises ValueError."""
     try:
-        doc = json.loads(text)
-        _check_depth(doc["rhs"])
-        ic_b = _hyp_from_json(doc["ic_b"]) if "ic_b" in doc else None
-        return PdeSpec(
-            time_order=_integral(doc["time_order"]),
-            alpha=_finite(doc["alpha"]),
-            rhs=_ast_from_json(doc["rhs"]),
-            ic_a=_hyp_from_json(doc["ic_a"]),
-            ic_b=ic_b,
-        )
+        return _from_fields(PdeSpec, _check_depth(json.loads(text)))
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
     except (LookupError, TypeError) as exc:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from ararps.ara import (
@@ -58,6 +59,13 @@ class TestSeriesMaps:
                 ara_numeric(f, 2, s0), rel=1e-8
             )
 
+    def test_image_at_extreme_s(self):
+        # the order-one term underflows to 0 at s = 1e300 and overflows, named, at 1e-300
+        img = AraSeries(0.5, (HypExpr.const(1.0), HypExpr.cosh(1.0)))
+        assert img.eval_order2(0.0, 1e300) == 1e-300
+        with pytest.raises(OverflowError, match="s=1e-300"):
+            img.eval_order2(0.0, 1e-300)
+
 
 class TestNumericTransform:
     def test_monomial_closed_form(self):
@@ -78,6 +86,22 @@ class TestNumericTransform:
         # f(u/s) = inf at s = 5e-324: no finite value, and s is named
         with pytest.raises(OverflowError, match="s=5e-324"):
             ara_numeric(lambda t: t ** 0.5, 1, 5e-324)
+
+    def test_overflow_in_f_named(self):
+        # (u/s)**2 raises OverflowError inside f at s = 1e-310; s is named, not f's errno text
+        with pytest.raises(OverflowError, match="s=1e-310"):
+            ara_numeric(lambda t: t ** 2, 2, 1e-310)
+
+    @pytest.mark.parametrize("p,n,s", [(2.0, 2, 5e-324), (2.0, 1, 1e-300)])
+    def test_closed_form_past_double_range_named(self, p, n, s):
+        with pytest.raises(OverflowError, match=f"s={s!r}"):
+            ara_monomial(p, n, s)
+
+    def test_closed_form_at_extreme_s(self):
+        # s^(-k) is one power: it underflows to 0, and keeps s where 1/s itself overflows
+        assert ara_monomial(2.5, 2, 1e300) == 0.0
+        want = float(mpmath.gamma(1.5) / mpmath.sqrt(mpmath.mpf(5e-324)))
+        assert ara_monomial(0.5, 1, 5e-324) == pytest.approx(want, rel=1e-15)
 
     def test_order_one_of_constant(self):
         # G_1[1] = 1 for every s

@@ -221,14 +221,16 @@ class TestCli:
          ["table", "--example", "2", "--gamma", "inf", "--out", "{tmp}/t.csv"],
          ["solve", "--example", "1", "--at", "0:1e300"],
          ["solve", "--example", "4", "--order", "2", "--at", "2000:1e11"],
-         ["transform", "--fn", "t^0.5", "--n", "1", "--s", "5e-324"]],
+         ["transform", "--fn", "t^0.5", "--n", "1", "--s", "5e-324"],
+         ["transform", "--fn", "t^2", "--n", "2", "--s", "5e-324"]],
         ids=["order", "alpha-0", "alpha-1.5", "negative-t", "v", "v-in-constant-cell",
              "table-order", "surface-alpha", "s", "transform-overflow",
              "transform-underflowing-s", "transform-bad-exponent", "table-gamma-overflow",
              "table-lam-overflow", "surface-gamma-overflow", "table-out-missing-dir",
              "surface-out-dir-is-file", "solve-spec-directory", "point-nan-t", "s-nan",
              "s-inf", "solve-lam-nan", "table-gamma-inf", "point-t-overflow",
-             "point-value-overflow", "transform-integrand-past-double-range"],
+             "point-value-overflow", "transform-integrand-past-double-range",
+             "transform-closed-form-past-double-range"],
     )
     def test_bad_flag_exit_2(self, args, tmp_path):
         (tmp_path / "file").write_text("")
@@ -348,6 +350,13 @@ class TestCli:
         )
         assert float(lines["exact"]) == 2.0
         assert abs(float(lines["numeric"]) - 2.0) < 1e-8
+
+    def test_transform_underflow_prints_zero(self):
+        # Gamma(4.5) * 1e300^-3.5 underflows: the closed form and the quadrature both give 0
+        res = self.runner.invoke(cli, ["transform", "--fn", "t^2.5", "--n", "2", "--s", "1e300"])
+        assert res.exit_code == 0, res.output
+        lines = dict(line.split(None, 1) for line in res.output.strip().splitlines())
+        assert float(lines["exact"]) == 0.0 and float(lines["numeric"]) == 0.0
 
     def test_transform_bad_fn(self):
         res = self.runner.invoke(cli, ["transform", "--fn", "sin(t)", "--n", "1", "--s", "1"])

@@ -1,8 +1,10 @@
-"""The package's public names: every ``__all__`` entry exists, and
-``ararps/__init__.py`` re-exports only names its modules list in ``__all__``."""
+"""The package's public names: every ``__all__`` entry exists,
+``ararps/__init__.py`` re-exports only names its modules list in ``__all__``,
+and the README's quick start runs on them."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,15 @@ def test_package_reexports_only_listed_names():
             mod = importlib.import_module(f"ararps.{node.module}")
             unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in mod.__all__]
     assert unlisted == []
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    # the README's one python block runs, and its commented outputs are what it prints
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [m.group(1) for m in re.finditer(r"^print\(.*#\s*([^\s,]+)", blocks[0], re.MULTILINE)]
+    assert comments == ["1*cosh(x)", "0.0"]
+    assert printed[:2] == comments

@@ -412,6 +412,29 @@ class TestCoefficientPatterns:
         _assert_expr(res.series.coeffs[3], HypExpr.cosh(f, c3))
 
 
+class TestModeClosure:
+    """Each example's operator annihilates the one new frequency its nonlinearity
+    creates, so every coefficient stays in the modes of its initial data, at
+    every alpha; a kernel that leaks a contribution into another frequency breaks it."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize(
+        "example_id,params,q",
+        [(1, ExampleParams(), 0.5), (2, ExampleParams(), 1.0),
+         (2, ExampleParams(gamma=0.5), 1.0), (3, ExampleParams(), 1.0)],
+        ids=["ex1", "ex2", "ex2-gamma0.5", "ex3"],
+    )
+    def test_examples_1_to_3_keep_const_cosh_sinh_q(self, example_id, params, q, alpha):
+        modes = {(Kind.CONST, 0.0), (Kind.COSH, q), (Kind.SINH, q)}
+        for n, c in enumerate(solve(with_alpha(builtin_example(example_id, params), alpha), 24).series.coeffs):
+            assert len(c.terms) <= 2 and {(k, f) for k, f, _ in c.terms} <= modes, (n, c)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_example_4_keeps_one_mode(self, alpha):
+        for n, c in enumerate(solve(with_alpha(builtin_example(4), alpha), 24).series.coeffs):
+            assert [f for _, f, _ in c.terms] == [1.0 / 3.0], (n, c)
+
+
 def _shifted(e: HypExpr, x0: float) -> HypExpr:
     """e(x + x0) in the basis: cosh(f(x+x0)) = cosh(f*x0) cosh(fx) + sinh(f*x0) sinh(fx),
     sinh(f(x+x0)) = sinh(f*x0) cosh(fx) + cosh(f*x0) sinh(fx)."""
@@ -923,6 +946,20 @@ class TestJsonSpecs:
     def test_integral_float_accepted(self):
         spec = pde_spec_from_json(_edited_spec(("rhs", "terms", 0, "child", "exponent"), 3.0))
         assert spec.rhs == builtin_example(4).rhs
+
+    def test_field_table_covers_every_field(self):
+        # the spec and every node decode through the one table, keyed by annotation
+        classes = [PdeSpec, *ararps.solver._NODES.values()]
+        missing = {f.type for cls in classes for f in fields(cls)} - set(ararps.solver._FIELD_DECODERS)
+        assert missing == set()
+
+    @pytest.mark.parametrize("example_id", [1, 4])
+    def test_spec_keys_are_field_names(self, example_id):
+        # the spec's keys follow PdeSpec's fields in order; example 4 has no ic_b
+        spec = builtin_example(example_id)
+        keys = list(json.loads(pde_spec_to_json(spec)))
+        assert keys == [f.name for f in fields(PdeSpec) if f.name != "ic_b" or spec.ic_b is not None]
+        assert ("ic_b" in keys) == (example_id == 1)
 
     def test_readme_spec_solves(self):
         # the README's schema example must parse and solve with this codec
