@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .caputo import _quad
 from .fpseries import FracSeries
-from .hypalg import HypExpr
+from .hypalg import HypExpr, _finite_sum
 from .special import gamma
 
 __all__ = [
@@ -46,7 +46,7 @@ class AraSeries:
         """Numeric value of the order-two image at (x, s)."""
         a = self.alpha
         terms = [(h(x), n * a + 1.0) for n, h in enumerate(self.coeffs)]  # OverflowError naming x
-        return _sum_in_s("eval_order2: image", s, terms)
+        return _finite_sum((c * s ** -k for c, k in terms), f"eval_order2: image at s={s!r}")
 
 
 def to_ara(s: FracSeries) -> AraSeries:
@@ -61,17 +61,6 @@ def from_ara(a: AraSeries) -> FracSeries:
     return FracSeries(
         al, tuple(h.scale(1.0 / (n * al + 1.0)) for n, h in enumerate(a.coeffs))
     )
-
-
-def _sum_in_s(what: str, s: float, terms: Sequence[tuple[float, float]]) -> float:
-    """The sum of c * s^(-k) over the (c, k) pairs; OverflowError naming s if it is not finite."""
-    try:
-        value = math.fsum(c * s ** -k for c, k in terms)
-    except (OverflowError, ValueError):  # a power past the double range, or inf - inf
-        value = math.inf
-    if not math.isfinite(value):
-        raise OverflowError(f"{what} at s={s!r} is not finite")
-    return value
 
 
 # the two coefficients of verify_property's linearity check (property 1)
@@ -99,7 +88,7 @@ def ara_numeric(f: Callable[[float], float], n: int, s: float) -> float:
         U = 60.0
         while abs(integrand(U)) > 1e-16 and U < 1400.0:
             U *= 1.5
-        value = (1.0 / s) ** (n - 1) * _quad(integrand, 0.0, U, [1.0])  # 1/s may be inf
+        value = _quad(integrand, 0.0, U, [1.0]) / s ** (n - 1)
     except OverflowError:  # f past the double range
         value = math.inf
     if not math.isfinite(value):
@@ -115,7 +104,8 @@ def ara_monomial(p: float, n: int, s: float) -> float:
         raise ValueError("ara_monomial: transform order must be 1 or 2")
     if not 0.0 < s < math.inf:
         raise ValueError(f"ara_monomial: s must be finite and positive, got {s!r}")
-    return _sum_in_s("ara_monomial: transform", s, [(gamma(p + n), p + n - 1.0)])
+    return _finite_sum((gamma(p + n) * s ** -k for k in [p + n - 1.0]),
+                       f"ara_monomial: transform at s={s!r}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ quadrature core of every numeric oracle.
 
 These quadrature-based operators are validation oracles for the exact
 series machinery; they never sit on the solver path.  Every quadrature,
-here and in ``ara``, is one ``_quad`` call at one tolerance ``_TOL``; the
+here and in ``ara``, is one ``_quad`` call at one relative tolerance ``_TOL``; the
 Caputo derivative is further capped (about 1e-5 relative) by its
 finite-difference inner derivative.  This is the only module that imports scipy.
 """
@@ -19,7 +19,7 @@ from .special import rgamma
 
 __all__ = ["ConvergenceError", "rl_integral_numeric", "caputo_numeric"]
 
-# absolute and relative tolerance, and panel limit, of every quadrature
+# relative tolerance, and panel limit, of every quadrature
 _TOL = 1e-11
 _PANELS = 300
 # relative step of caputo_numeric's finite-difference inner derivative
@@ -32,12 +32,12 @@ class ConvergenceError(ArithmeticError):
 
 def _quad(f: Callable[[float], float], a: float, b: float,
           points: Sequence[float] | None = None) -> float:
-    """int_a^b f, adaptive to _TOL absolute and relative in at most _PANELS panels,
+    """int_a^b f, adaptive to _TOL relative (no absolute floor) in at most _PANELS panels,
     split at ``points``; ConvergenceError if the error estimate exceeds 1e-6 * (1 + |value|)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
         val, err = scipy.integrate.quad(
-            f, a, b, epsabs=_TOL, epsrel=_TOL, limit=_PANELS, points=points
+            f, a, b, epsabs=0.0, epsrel=_TOL, limit=_PANELS, points=points
         )
     if err > 1e-6 * (1.0 + abs(val)):
         raise ConvergenceError(f"quadrature error estimate {err:.3e} exceeds budget")

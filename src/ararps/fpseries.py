@@ -38,7 +38,7 @@ from typing import Sequence
 
 from mpmath.libmp import dps_to_prec, mpf_div, mpf_mul, round_nearest, to_float
 
-from .hypalg import HypExpr, _fsum, _products
+from .hypalg import HypExpr, _basis, _fsum, _products
 from .special import _gamma40, rgamma, tpow
 
 __all__ = [
@@ -187,27 +187,17 @@ def series_grid(s: FracSeries, xs: Sequence[float], ts: Sequence[float]) -> list
             basis.setdefault((k, f), []).append((n, v))
     tw = [[tpow(t, n * s.alpha) for n in range(len(rg))] for t in ts]
     bt = [[_fsum(v * w[n] * rg[n] for n, v in nv) for nv in basis.values()] for w in tw]
-    units = [HypExpr(((k, f, 1.0),)) for k, f in basis]  # the phi_j
     rows = []
     for x in xs:
-        try:
-            phi = [u(x) for u in units]
-            row = [_fsum(map(mul, b, phi)) for b in bt]
-        except OverflowError:  # a phi_j past the double range at x is inf, and counts
-            phi = [_or_inf(u, x) for u in units]  # only where its weight is nonzero
+        phi = [_basis(k, f, x) for k, f in basis]
+        row = [_fsum(map(mul, b, phi)) for b in bt]
+        if not all(map(math.isfinite, row)):  # an inf phi_j counts only where it has weight
             row = [_fsum(w * p for w, p in zip(b, phi) if w) for b in bt]
-        if not all(map(math.isfinite, row)):
-            t = next(t for t, v in zip(ts, row) if not math.isfinite(v))
-            raise OverflowError(f"series value at x={x!r}, t={t!r} is not finite")
+            if not all(map(math.isfinite, row)):
+                t = next(t for t, v in zip(ts, row) if not math.isfinite(v))
+                raise OverflowError(f"series value at x={x!r}, t={t!r} is not finite")
         rows.append(row)
     return rows
-
-
-def _or_inf(u: HypExpr, x: float) -> float:
-    try:
-        return u(x)
-    except OverflowError:
-        return math.inf
 
 
 def series_eval(s: FracSeries, x: float, t: float) -> float:

@@ -13,6 +13,8 @@ product-to-sum kernel, is the only code that buckets contributions (per kind,
 by exact frequency); ``_merge`` then folds signs, maps each frequency to its
 cell (naming one that has none) and fsums each cell.  ``_canonical`` and ``+``
 are products with 1; ``diff`` keeps every frequency, so it is canonical as it stands.
+``_basis`` is the one evaluator of 1, cosh and sinh at a point (inf past the
+double range), and ``_finite_sum`` the one sum that names a value that is not finite.
 """
 
 from __future__ import annotations
@@ -151,6 +153,25 @@ def _fsum(vs: Iterable[float]) -> float:
         return math.nan
 
 
+def _finite_sum(terms: Iterable[float], what: str) -> float:
+    """``_fsum`` of the terms (an OverflowError from one included); OverflowError if not finite."""
+    value = _fsum(terms)
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} is not finite")
+    return value
+
+
+def _basis(kind: Kind, freq: float, x: float) -> float:
+    """The basis function at x: 1, cosh(freq*x) or sinh(freq*x); inf where it leaves
+    the double range, whatever the sign (callers read only whether it is finite)."""
+    if kind is _CONST:
+        return 1.0
+    try:
+        return math.cosh(freq * x) if kind is _COSH else math.sinh(freq * x)
+    except OverflowError:
+        return math.inf
+
+
 def _finite_nonzero(terms: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, float, float], ...]:
     """The terms without exact zeros; OverflowError if a coefficient is not finite."""
     kept = []
@@ -238,21 +259,7 @@ class HypExpr:
 
     def __call__(self, x: float) -> float:
         """The fsum of the terms at x; OverflowError naming x if it is not finite."""
-        vals = []
-        try:
-            for kind, freq, coeff in self.terms:
-                if kind is _CONST:
-                    vals.append(coeff)
-                elif kind is _COSH:
-                    vals.append(coeff * math.cosh(freq * x))
-                else:
-                    vals.append(coeff * math.sinh(freq * x))
-        except OverflowError:  # a cosh or sinh past the double range
-            vals = [math.inf]
-        value = _fsum(vals)
-        if not math.isfinite(value):
-            raise OverflowError(f"value at x={x!r} is not finite")
-        return value
+        return _finite_sum((c * _basis(k, f, x) for k, f, c in self.terms), f"value at x={x!r}")
 
     def is_zero(self) -> bool:
         return not self.terms

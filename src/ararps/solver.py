@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import partial, reduce
 from operator import add
 from typing import Any, Callable, Sequence, Union
@@ -349,7 +349,7 @@ def builtin_example(example_id: int, params: ExampleParams | None = None) -> Pde
 
 
 def with_alpha(spec: PdeSpec, alpha: float) -> PdeSpec:
-    return PdeSpec(spec.time_order, alpha, spec.rhs, spec.ic_a, spec.ic_b)
+    return replace(spec, alpha=alpha)
 
 
 def exact_solution(

@@ -103,6 +103,16 @@ class TestNumericTransform:
         want = float(mpmath.gamma(1.5) / mpmath.sqrt(mpmath.mpf(5e-324)))
         assert ara_monomial(0.5, 1, 5e-324) == pytest.approx(want, rel=1e-15)
 
+    def test_finite_value_where_one_over_s_overflows(self):
+        # G_2[c](s) = c / s; 1/s is inf below s = 2^-1024, c / s is not
+        assert ara_numeric(lambda t: 1e-20, 2, 1e-310) == pytest.approx(1e290, rel=1e-14)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-20])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_f_keeps_relative_accuracy(self, c, n):
+        # G_n[c](1) = c: the quadrature's tolerance is relative only
+        assert ara_numeric(lambda t: c, n, 1.0) == pytest.approx(c, rel=1e-14, abs=0.0)
+
     def test_order_one_of_constant(self):
         # G_1[1] = 1 for every s
         for s in (0.5, 3.0, 50.0):

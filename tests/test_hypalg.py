@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ararps.hypalg import HypExpr, Kind, _canonical, _products
+from ararps.hypalg import HypExpr, Kind, _basis, _canonical, _products
 
 
 def _coeffs(e: HypExpr) -> dict:
@@ -193,12 +193,20 @@ class TestQueries:
         "expr,x",
         [(HypExpr.cosh(1.0), 1000.0),
          (HypExpr.cosh(1.0, 1e300) + HypExpr.cosh(1.001, -1e300), 700.0),
-         (HypExpr.cosh(1.0, 1e300), 700.0)],
-        ids=["cosh-overflow", "inf-minus-inf", "product-overflow"],
+         (HypExpr.cosh(1.0, 1e300), 700.0),
+         # e^-800 as a pair whose terms each overflow: terms are not paired (ROADMAP item 3)
+         (HypExpr.cosh(1.0) - HypExpr.sinh(1.0), 800.0)],
+        ids=["cosh-overflow", "inf-minus-inf", "product-overflow", "cosh-minus-sinh"],
     )
     def test_value_past_the_double_range_named(self, expr, x):
         with pytest.raises(OverflowError, match=rf"x={x!r} is not finite"):
             expr(x)
+
+    def test_basis_past_the_double_range_is_inf(self):
+        assert _basis(Kind.CONST, 0.0, 1e308) == 1.0
+        assert _basis(Kind.COSH, 2.0, -400.0) == math.inf
+        assert _basis(Kind.SINH, 2.0, 400.0) == math.inf
+        assert _basis(Kind.SINH, 0.5, 0.7) == math.sinh(0.35)
 
     def test_max_abs_coeff(self):
         e = HypExpr.cosh(1.0, -4.0) + HypExpr.const(2.0)
