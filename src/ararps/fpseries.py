@@ -11,12 +11,15 @@ and matches the transform-space coefficients h_n = (n*alpha + 1) c_n.
 
 Products use the convolution weights Gamma(n*alpha+1) / (Gamma(m*alpha+1)
 Gamma(j*alpha+1)), correctly rounded from the 40-digit Gamma values of
-``special`` and cached.  Each output coefficient is one call of the
-product-to-sum kernel ``hypalg._products`` in doubles, and each of its
-frequency cells is one ``math.fsum``: correctly rounded, independent of
-the order of the contributions, and the same on every platform.  A square
+``special`` and cached.  Each output coefficient is one call of one of
+two product kernels in doubles, chosen by ``hypalg._lattice`` from the
+operands' sizes: the sparse ``hypalg._products``, whose frequency cells
+are one ``math.fsum`` each, or, for large operands on one generator g, the
+dense ``hypalg._laurent_products``, whose powers of z = e^(gx) are one
+``math.fsum`` each.  Each sum is correctly rounded, independent of the
+order of the contributions, and the same on every platform.  A square
 takes each pair (m, n-m), m < n-m, once at twice the weight, which gives
-the same sums.  The error of a deep c_n
+the same sums on either kernel.  The error of a deep c_n
 comes from rounding the stored c_m it is built from, not from the sums:
 for example 4 at alpha = 1, exact sums of exact products drift from the
 closed form like the doubles do, about 6x an order.
@@ -38,7 +41,7 @@ from typing import Sequence
 
 from mpmath.libmp import dps_to_prec, mpf_div, mpf_mul, round_nearest, to_float
 
-from .hypalg import HypExpr, _basis, _fsum, _products
+from .hypalg import HypExpr, _basis, _fsum, _laurent_products, _lattice, _products
 from .special import _gamma40, rgamma, tpow
 
 __all__ = [
@@ -135,13 +138,16 @@ def mul_coeff(alpha: float, a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) 
     coefficient at a time (the online product).
     """
     # a square takes m to the middle only, at twice the weight below it: pair (m, n-m)
-    # and its mirror add alike (fsum([x, x]) == fsum([2x]), exact away from subnormals)
+    # and its mirror add alike (fsum([x, x]) == fsum([2x]), exact away from subnormals).
+    # The kernel is chosen from the operands alone, the same for a square and for a
+    # product of equal lists, so series_mul and the engine give the same bits.
     square = a is b
+    g = _lattice(a, b, n)
     pairs = []
     for m in range(n // 2 + 1 if square else n + 1):
         w = conv_weight(alpha, min(m, n - m), max(m, n - m))
-        pairs.append((a[m].terms, b[n - m].terms, 2.0 * w if square and 2 * m < n else w))
-    return HypExpr(_products(pairs))
+        pairs.append((a[m], b[n - m], 2.0 * w if square and 2 * m < n else w))
+    return HypExpr(_products(pairs) if g is None else _laurent_products(pairs, g))
 
 
 def series_mul(s1: FracSeries, s2: FracSeries) -> FracSeries:

@@ -8,11 +8,15 @@ contributions merged when their frequencies fall in the same cell
 ``round(freq * 2**30)`` (cell 0 is the constant term), and terms whose
 coefficients sum to exactly zero dropped.  Nothing else is pruned.
 
-``HypExpr.of`` is the one checked entry for raw terms.  ``_products``, the one
+``HypExpr.of`` is the one checked entry for raw terms.  Products have two
+kernels, chosen by operand size (``_lattice``).  ``_products``, the sparse
 product-to-sum kernel, is the only code that buckets contributions (per kind,
 by exact frequency); ``_merge`` then folds signs, maps each frequency to its
-cell (naming one that has none) and fsums each cell.  ``_canonical`` and ``+``
-are products with 1; ``diff`` keeps every frequency, so it is canonical as it stands.
+cell (naming one that has none) and fsums each cell.  ``_laurent_products``,
+the dense kernel, convolves the operands' Laurent lists on one generator g
+and needs no buckets: output power k is one fsum, at frequency k*g.
+``_canonical`` and ``+`` are products with 1; ``diff`` keeps every frequency,
+so it is canonical as it stands.
 ``_basis`` is the one evaluator of 1, cosh and sinh at a point (inf past the
 double range), and ``_finite_sum`` the one sum that names a value that is not finite.
 """
@@ -23,12 +27,18 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import itemgetter
-from typing import Iterable
+from itertools import chain, repeat
+from operator import itemgetter, mul
+from typing import Iterable, Sequence
 
 __all__ = ["Kind", "HypExpr"]
 
 _CELLS = 2.0 ** 30  # frequency cells per unit; one cell is 2**-30 wide
+# ``_lattice`` runs the dense kernel where the sparse contributions reach
+# _DENSE_WORK times the dense work, pairs * (2D + 1): the crossover of the two
+# kernels on 271 recorded ``mul_coeff`` inputs (CPython 3.11, 2-core x86-64 VM)
+_DENSE_WORK = 3.0
+_DENSE_SPAN = 4  # and where 2D + 1 is at most this many times the widest operand
 
 
 class Kind(IntEnum):
@@ -41,11 +51,10 @@ class Kind(IntEnum):
 _CONST, _COSH, _SINH = Kind.CONST, Kind.COSH, Kind.SINH
 # d/dx swaps cosh and sinh; a dict keeps the kinds Kind members (IntEnum sums are ints)
 _SWAP = {_COSH: _SINH, _SINH: _COSH}
-_UNIT = ((_CONST, 0.0, 1.0),)  # the constant 1
 
 
-def _products(pairs: Iterable[tuple[tuple, tuple, float]]) -> tuple[tuple[Kind, float, float], ...]:
-    """Canonical sum over ``(t1, t2, w)`` of the product t1 * t2 scaled by w.
+def _products(pairs: Iterable[tuple[HypExpr, HypExpr, float]]) -> tuple[tuple[Kind, float, float], ...]:
+    """Canonical sum over ``(x, y, w)`` of the product x * y scaled by w.
 
     Product to sum: w * c1 k1(a) * c2 k2(b) = h kind(a+b) +- h kind(a-b) with
     h = w*(c1*c2)/2, where kind is cosh when k1 == k2 and sinh otherwise,
@@ -57,17 +66,17 @@ def _products(pairs: Iterable[tuple[tuple, tuple, float]]) -> tuple[tuple[Kind, 
     """
     cosh: defaultdict[float, list[float]] = defaultdict(list)
     sinh: defaultdict[float, list[float]] = defaultdict(list)
-    for t1, t2, w in pairs:
+    for x, y, w in pairs:
         c2 = None
         cosh2, sinh2 = [], []
-        for k, f, c in t2:
+        for k, f, c in y.terms:
             if k is _COSH:
                 cosh2.append((f, c))
             elif k is _SINH:
                 sinh2.append((f, c))
             else:
                 c2 = c
-        for k1, f1, c1 in t1:
+        for k1, f1, c1 in x.terms:
             # a constant is cosh at f1 = 0.0: its product with c2 lands in cosh[0.0]
             same, other = (sinh, cosh) if k1 is _SINH else (cosh, sinh)
             if c2 is not None and (v := w * (c1 * c2)):
@@ -91,12 +100,117 @@ def _products(pairs: Iterable[tuple[tuple, tuple, float]]) -> tuple[tuple[Kind, 
     return _merge(cosh, sinh)
 
 
+def _lattice(a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) -> float | None:
+    """The generator g on which ``_laurent_products`` multiplies the pairs
+    (a[m], b[n-m]), m = 0..n, or None where ``_products`` is cheaper or a
+    frequency is off the lattice.  b is a for a square.
+
+    g is the smallest positive frequency of the operands.  Every frequency
+    must lie within one cell, 2**-30, of a multiple k*g, and g must span two
+    cells, so that the multiples keep distinct cells.  The sparse kernel pays
+    per contribution, and there are sum_m |a[m]| * |b[n-m]| of them; the
+    dense one pays per pair and output power, pairs * (2D + 1) for output
+    degree D.  The dense one runs where the middle operands have
+    ``_DENSE_WORK`` terms or more, the contributions reach ``_DENSE_WORK``
+    times its work, and 2D + 1 is at most ``_DENSE_SPAN`` times the widest
+    operand, so that a sparse lattice never builds lists much longer than its
+    operands.  The first test costs the same at any n: examples 1-4 stop there.
+    """
+    h = n // 2
+    if min(len(a[h].terms), len(a[n - h].terms), len(b[h].terms), len(b[n - h].terms)) < _DENSE_WORK:
+        return None
+    xs = a[: n + 1]
+    ys = xs if b is a else b[: n + 1]
+    nx = [len(x.terms) for x in xs]
+    ny = nx if b is a else [len(y.terms) for y in ys]
+    lo_x, hi_x = zip(*map(_span, xs))
+    lo_y, hi_y = (lo_x, hi_x) if b is a else zip(*map(_span, ys))
+    g = min(filter(None, chain(lo_x, lo_y)), default=0.0)
+    if g < 2.0 / _CELLS:
+        return None
+    width = 2 * max(round(hx / g) + round(hy / g) for hx, hy in zip(hi_x, reversed(hi_y))) + 1
+    if width > _DENSE_SPAN * max(max(nx), max(ny)):
+        return None
+    if sum(map(mul, nx, reversed(ny))) < _DENSE_WORK * len(nx) * width:
+        return None
+    if any(_laurent(e, g) is None for e in chain(xs, ys)):
+        return None
+    return g
+
+
+def _span(e: HypExpr) -> tuple[float, float]:
+    """The smallest and largest positive frequency of e, (0.0, 0.0) if it has none; kept on e."""
+    span = e.__dict__.get("_span")
+    if span is None:
+        fs = [f for _, f, _ in e.terms if f]
+        span = (min(fs), max(fs)) if fs else (0.0, 0.0)
+        object.__setattr__(e, "_span", span)  # a cache, outside the compared fields
+    return span
+
+
+def _laurent(e: HypExpr, g: float) -> tuple[list[float], list[float]] | None:
+    """e as the list E[-D..D] on z = e^(gx), with the list reversed; None off the lattice.
+
+    E_0 is the constant and E_(+-k) = (C_k +- S_k)/2 for C_k cosh(kgx) + S_k
+    sinh(kgx).  The lists are kept on e for its last g, so a solve converts
+    each coefficient once, not once per pair.
+    """
+    memo = e.__dict__.get("_laurent")
+    if memo is None or memo[0] != g:
+        index = [round(f / g) for _, f, _ in e.terms]
+        lists = None
+        if all(abs(f - k * g) <= 1.0 / _CELLS for (_, f, _), k in zip(e.terms, index)):
+            d = max(index, default=0)
+            lists = [0.0] * (2 * d + 1)
+            for (kind, _, c), k in zip(e.terms, index):
+                lists[d + k] += 0.5 * c if k else c
+                if kind is not _CONST:
+                    lists[d - k] += 0.5 * c if kind is _COSH else -0.5 * c
+            lists = (lists, lists[::-1])
+        memo = (g, lists)
+        object.__setattr__(e, "_laurent", memo)  # a cache, outside the compared fields
+    return memo[1]
+
+
+def _laurent_products(
+    pairs: Iterable[tuple[HypExpr, HypExpr, float]], g: float
+) -> tuple[tuple[Kind, float, float], ...]:
+    """Canonical sum over ``(x, y, w)`` of w * x * y, on the lattice that ``_lattice`` found.
+
+    With z = e^(gx), cosh(kgx) and sinh(kgx) are (z^k +- z^-k)/2, so a product
+    is the convolution of the Laurent lists (``_laurent``).  Each output power
+    p is one fsum over the pairs and every i of the contribution
+    ``w * (X_i * Y_(p-i))``, so a product is bitwise commutative; then
+    C_k = E_k + E_-k and S_k = E_k - E_-k at frequency k*g, and only exact
+    zeros are dropped.
+    """
+    lists = []
+    for x, y, w in pairs:
+        if x.terms and y.terms:
+            (a, _), (_, rb) = _laurent(x, g), _laurent(y, g)
+            lists.append((a, rb, len(a) // 2, len(rb) // 2, w))
+    top = max((da + db for _, _, da, db, _ in lists), default=0)
+    out = []
+    for p in range(-top, top + 1):
+        parts = []
+        for a, rb, da, db, w in lists:
+            lo, hi = max(-da, p - db), min(da, p + db) + 1  # X_i for i in [lo, hi)
+            if lo < hi:
+                prods = map(mul, a[lo + da : hi + da], rb[lo - p + db : hi - p + db])
+                parts.append(prods if w == 1.0 else map(mul, repeat(w), prods))
+        out.append(_fsum(chain.from_iterable(parts)))
+    terms = [(_CONST, 0.0, out[top])]
+    terms += [(_COSH, k * g, out[top + k] + out[top - k]) for k in range(1, top + 1)]
+    terms += [(_SINH, k * g, out[top + k] - out[top - k]) for k in range(1, top + 1)]
+    return _finite_nonzero(terms)
+
+
 def _canonical(raw: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, float, float], ...]:
     """Canonical form of raw terms: their product with 1, where each contribution is ``c``."""
     raw = tuple(raw)
     if any(k is _CONST and c and round(f * _CELLS) for k, f, c in raw):
         raise ValueError("CONST term with nonzero frequency")
-    return _products(((raw, _UNIT, 1.0),))
+    return _products(((HypExpr(raw), _ONE, 1.0),))  # the raw terms, wrapped unchecked
 
 
 def _merge(
@@ -228,7 +342,7 @@ class HypExpr:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "HypExpr") -> "HypExpr":
-        return HypExpr(_products(((self.terms, _UNIT, 1.0), (other.terms, _UNIT, 1.0))))
+        return HypExpr(_products(((self, _ONE, 1.0), (other, _ONE, 1.0))))
 
     def __sub__(self, other: "HypExpr") -> "HypExpr":
         return self + (-other)
@@ -240,7 +354,7 @@ class HypExpr:
         return HypExpr(_finite_nonzero((k, f, c * factor) for k, f, c in self.terms))
 
     def __mul__(self, other: "HypExpr") -> "HypExpr":
-        return HypExpr(_products([(self.terms, other.terms, 1.0)]))
+        return HypExpr(_products(((self, other, 1.0),)))
 
     def diff(self, m: int = 1) -> "HypExpr":
         """The m-th x-derivative; it keeps every frequency, so it is canonical as it stands."""
@@ -287,3 +401,6 @@ class HypExpr:
 
     def __str__(self) -> str:
         return self.render()
+
+
+_ONE = HypExpr(((_CONST, 0.0, 1.0),))

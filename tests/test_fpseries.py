@@ -200,6 +200,27 @@ class TestMul:
             p1, p2 = series_mul(s1, s2), series_mul(s2, s1)
             assert [c.terms for c in p1.coeffs] == [c.terms for c in p2.coeffs]
 
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.sampled_from([0.3, 0.7, 1.0]), g=st.floats(0.05, 1.5), data=st.data())
+    def test_dense_products_commute_and_square_bitwise(self, alpha, g, data):
+        # every multiple k*g up to 8 of both kinds and a constant: the dense kernel's size
+        # rule takes these; a and b alike, so a * b and b * a take the same path
+        coeff = st.builds(math.copysign, st.floats(1e-3, 2.0), st.sampled_from([1.0, -1.0]))
+        full = st.lists(coeff, min_size=17, max_size=17).map(lambda cs: HypExpr.of(
+            [(Kind.CONST, 0.0, cs[0])]
+            + [(kind, k * g, cs[2 * k - 2 + int(kind)]) for k in range(1, 9) for kind in (Kind.COSH, Kind.SINH)]))
+        a = data.draw(st.lists(full, min_size=1, max_size=4))
+        b = data.draw(st.lists(full, min_size=len(a), max_size=len(a)))
+        dense = []
+        real = fpseries._laurent_products
+        hexed = lambda e: [(k, f.hex(), c.hex()) for k, f, c in e.terms]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpseries, "_laurent_products", lambda pairs, g: dense.append(g) or real(pairs, g))
+            for n in range(len(a)):
+                assert hexed(mul_coeff(alpha, a, b, n)) == hexed(mul_coeff(alpha, b, a, n))
+                assert hexed(mul_coeff(alpha, a, a, n)) == hexed(mul_coeff(alpha, a, list(a), n))
+        assert len(dense) == 4 * len(a)
+
     @pytest.mark.parametrize(
         "overflow",
         [lambda: HypExpr.const(1e308) + HypExpr.const(1e308),

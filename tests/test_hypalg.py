@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ararps.hypalg import HypExpr, Kind, _basis, _canonical, _products
+from ararps.hypalg import HypExpr, Kind, _basis, _canonical, _laurent_products, _lattice, _products
 
 
 def _coeffs(e: HypExpr) -> dict:
@@ -299,8 +299,7 @@ class TestKernelMatchesReference:
         )
     )
     def test_products(self, pairs):
-        pairs = [(a.terms, b.terms, w) for a, b, w in pairs]
-        assert _hex(_products(pairs)) == _hex(_reference_products(pairs))
+        assert _hex(_products(pairs)) == _hex(_reference_products([(a.terms, b.terms, w) for a, b, w in pairs]))
 
     @given(e=hyp_exprs(), m=st.integers(1, 5))
     @example(e=HypExpr.cosh(0.5, 5e-324) + HypExpr.sinh(2.0), m=1)  # an underflow to 0 drops
@@ -314,3 +313,68 @@ class TestKernelMatchesReference:
                     c *= f
                 raw.append((swap[k] if m % 2 else k, f, c))
         assert _hex(e.diff(m).terms) == _hex(_canonical(raw))
+
+
+@st.composite
+def lattice_exprs(draw, g):
+    """A canonical expression on the lattice k*g, k <= 8: a constant or not, and at
+    each multiple drawn a cosh, a sinh or both, coefficients over six decades."""
+    coeff = st.builds(lambda c, e: c * 10.0 ** e, coeff_st, st.integers(-3, 3))
+    terms = [(Kind.CONST, 0.0, draw(coeff))] if draw(st.booleans()) else []
+    for k in sorted(draw(st.sets(st.integers(1, 8), max_size=8))):
+        for kind in sorted(draw(st.sets(st.sampled_from([Kind.COSH, Kind.SINH]), min_size=1))):
+            terms.append((kind, k * g, draw(coeff)))
+    return HypExpr.of(terms)
+
+
+def _on_lattice(terms, g, x):
+    """The value at x with every frequency read as its multiple of g, so that the two
+    kernels' frequencies (k*g, or a sum of frequencies in the same cell) agree."""
+    return math.fsum(c * _basis(k, round(f / g) * g, x) for k, f, c in terms)
+
+
+def _envelope(e, x):
+    """sum |c| cosh(f x): bounds |E_k| z^k summed over the Laurent list, at z = e^(gx)."""
+    return math.fsum(abs(c) * math.cosh(f * x) for _, f, c in e.terms)
+
+
+class TestLaurentKernel:
+    """The dense kernel against the sparse one, on lattice operands."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), g=st.floats(0.05, 1.5))
+    def test_matches_sparse_kernel(self, data, g):
+        exprs = data.draw(st.lists(lattice_exprs(g), min_size=1, max_size=4))
+        weight = st.sampled_from([1.0, 2.0, 0.75, 1.0 / 3.0]) | st.floats(0.01, 50.0)
+        pick = st.sampled_from(exprs)
+        pairs = data.draw(st.lists(st.tuples(pick, pick, weight), min_size=1, max_size=5))
+        dense, sparse = _laurent_products(pairs, g), _products(pairs)
+        assert all(round(f / g) * g == f for _, f, _ in dense)  # frequencies are k*g
+        for x in (-2.0, -0.7, 0.0, 0.3, 1.6):
+            bound = 8 * 2.0 ** -53 * math.fsum(abs(w) * _envelope(a, x) * _envelope(b, x) for a, b, w in pairs)
+            assert abs(_on_lattice(dense, g, x) - _on_lattice(sparse, g, x)) <= bound, x
+
+    @pytest.mark.parametrize("g", [0.4, 1.0 / 3.0])
+    def test_overflow_named_like_the_sparse_kernel(self, g):
+        # c_0 = 2 c^2 and the cosh(2gx) coefficient leave the doubles on both paths
+        big = HypExpr.of([(Kind.COSH, g, 1e200), (Kind.SINH, 2 * g, 1.0), (Kind.CONST, 0.0, 1.0)])
+        messages = []
+        for kernel in (_products, lambda pairs: _laurent_products(pairs, g)):
+            with pytest.raises(OverflowError, match=r"coefficient of .* is not finite") as err:
+                kernel([(big, big, 1.0)])
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_dense_only_on_one_lattice(self):
+        # the same term counts on the lattice, off it, and on it with g below two cells
+        full = lambda g, c=0.5: HypExpr.of(
+            [(Kind.CONST, 0.0, c)] + [(k, j * g, c) for j in range(1, 5) for k in (Kind.COSH, Kind.SINH)])
+        on = [full(0.25)] * 6
+        assert _lattice(on, on, 5) == 0.25
+        off = [full(0.25), full(0.25 * math.sqrt(2.0))] * 3
+        assert _lattice(off, off, 5) is None
+        tiny = [full(2.0 ** -30)] * 6
+        assert _lattice(tiny, tiny, 5) is None
+        # enough contributions, but the lists would be ten times the 100 terms
+        spread = [HypExpr.of([(k, j * 0.25, 0.5) for j in range(1, 250, 5) for k in (Kind.COSH, Kind.SINH)])] * 2
+        assert _lattice(spread, spread, 1) is None

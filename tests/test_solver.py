@@ -6,7 +6,7 @@ import math
 import re
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import mpmath
@@ -182,7 +182,17 @@ def _shared_pow_spec() -> PdeSpec:
     return _generic_spec(rhs)
 
 
-GOLDEN_DIGEST = "429f345bb9f76601c3b1538292bd443849f5c3bca9085d592fb892d4c2e889df"
+# sha256 over float.hex of every term of the reference solves.  Examples 1-4
+# run only the sparse product kernel; most of the generic spec's products run
+# the dense lattice kernel, so its digest moves with either kernel's bits.
+GOLDEN_DIGESTS = {
+    "examples": "13523e60d0c1de95486c5b94d346552a60290b1429c271fb617936eae88688e9",
+    "generic": "5591c52be03cf9ab4fe9af3e2fd295292b839482c796b22cc9a05951dd425b80",
+}
+GOLDEN_SOLVES = {
+    "examples": [(with_alpha(builtin_example(ex), a), 24) for ex in (1, 2, 3, 4) for a in (0.5, 1.0)],
+    "generic": [(_generic_spec(), 7)],
+}
 
 ENGINE_SPECS = [
     pytest.param(with_alpha(builtin_example(ex), a), 6, id=f"ex{ex}-alpha{a}")
@@ -220,17 +230,15 @@ class TestOnePassEngine:
         monkeypatch.setattr(ararps.solver, "apply_operator", forbidden)
         assert solve(spec, K).order == K
 
-    def test_coefficient_bits_pinned(self):
-        # sha256 over float.hex of every term of the reference solves, taken
-        # before products were shared between equal subtrees and squares
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_coefficient_bits_pinned(self, name):
         h = hashlib.sha256()
-        solves = [(with_alpha(builtin_example(ex), a), 24) for ex in (1, 2, 3, 4) for a in (0.5, 1.0)]
-        for spec, K in solves + [(_generic_spec(), 7)]:
+        for spec, K in GOLDEN_SOLVES[name]:
             for n, c in enumerate(solve(spec, K).series.coeffs):
                 h.update(f"c{n}\n".encode())
                 for kind, freq, coeff in c.terms:
                     h.update(f"{int(kind)} {freq.hex()} {coeff.hex()}\n".encode())
-        assert h.hexdigest() == GOLDEN_DIGEST
+        assert h.hexdigest() == GOLDEN_DIGESTS[name]
 
     @pytest.mark.parametrize(
         "spec,per_order", [(builtin_example(4), 2), (_generic_spec(), 3)], ids=["ex4", "generic"]
@@ -550,6 +558,81 @@ class TestTimeScaling:
             w = lam ** (n * a)
             for x in _RELATION_XS:
                 assert abs(got[n](x) - w * c(x)) <= 1e-12 * w * _abs_terms(c, x), (n, x)
+
+
+@pytest.fixture
+def dense_products(monkeypatch):
+    """The generators of the products that took the dense lattice kernel."""
+    calls = []
+    real = ararps.fpseries._laurent_products
+    monkeypatch.setattr(ararps.fpseries, "_laurent_products", lambda pairs, g: calls.append(g) or real(pairs, g))
+    return calls
+
+
+def _homogeneous_p2_spec() -> PdeSpec:
+    """(y^2)_xx + y*y_x, homogeneous of degree 2, with the lattice spec's IC."""
+    y = Solution()
+    return replace(_lattice_spec(), rhs=Add((Dx(2, PowInt(2, y)), Mul(y, Dx(1, y)))))
+
+
+class TestAmplitudeScaling:
+    """If N is homogeneous of degree p, the IC lam*c_0 gives lam^(1 + n(p-1)) * c_n.
+
+    A relation of the engine with itself.  A power of two scales every
+    product, sum and fsum exactly, so lam = 2 gives the same bits; example 4
+    runs the sparse kernel and the degree-2 lattice spec the dense one.
+    """
+
+    @pytest.mark.parametrize("lam", [2.0, 0.7])
+    @pytest.mark.parametrize("spec, p, K, dense", [
+        pytest.param(with_alpha(builtin_example(4), 0.5), 3, 12, False, id="ex4-alpha0.5"),
+        pytest.param(_homogeneous_p2_spec(), 2, 7, True, id="lattice-p2"),
+    ])
+    def test_scaled_ic_gives_scaled_coefficients(self, spec, p, K, dense, lam, dense_products):
+        got = solve(replace(spec, ic_a=spec.ic_a.scale(lam)), K).series.coeffs
+        for n, c in enumerate(solve(spec, K).series.coeffs):
+            w = lam ** (1 + n * (p - 1))
+            if lam == 2.0:
+                assert got[n] == c.scale(w), n
+            for x in _RELATION_XS:
+                assert abs(got[n](x) - w * c(x)) <= 1e-12 * w * _abs_terms(c, x), (n, x)
+        assert bool(dense_products) == dense
+
+
+class TestProductPath:
+    """``mul_coeff`` takes the dense lattice kernel for large products on one generator."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
+    def test_examples_stay_sparse(self, example_id, alpha, dense_products):
+        solve(with_alpha(builtin_example(example_id), alpha), 24)
+        assert not dense_products
+
+    @pytest.mark.parametrize(
+        "spec, g", [(_generic_spec(), 0.4), (_lattice_spec(), 0.3)], ids=["generic", "lattice"]
+    )
+    def test_one_generator_goes_dense(self, spec, g, dense_products):
+        solve(spec, 7)
+        assert dense_products and all(abs(h - g) <= 2.0 ** -30 for h in dense_products)
+
+    def test_two_generators_stay_sparse(self, dense_products):
+        # the multifreq-incommensurate workload's frequencies: rank 2
+        b, r = 0.4, math.sqrt(2.0)
+        ic = HypExpr.cosh(b, 0.5) + HypExpr.sinh(r * b, -0.45) + HypExpr.cosh((1 + r) * b, 0.55)
+        solve(PdeSpec(1, 0.7, _generic_spec().rhs, ic), 4)
+        assert not dense_products
+
+    def test_long_lattice_builds_no_list(self, dense_products, monkeypatch):
+        # 1e-6 and 1.0 lie on one lattice, with multiples up to 10**6 per frequency:
+        # the products are large enough to look at the frequencies, and too sparse
+        # on that lattice to build a Laurent list
+        spans, lists = [], []
+        for name, seen in (("_span", spans), ("_laurent", lists)):
+            real = getattr(ararps.hypalg, name)
+            monkeypatch.setattr(ararps.hypalg, name, lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
+        ic = HypExpr.cosh(1e-6, 0.5) + HypExpr.sinh(1.0, -0.45) + HypExpr.cosh(2.0, 0.3)
+        solve(PdeSpec(1, 0.7, _generic_spec().rhs, ic), 6)
+        assert spans and not lists and not dense_products
 
 
 def _pde_residual_pointwise(series, alpha, x0, t0):
