@@ -6,23 +6,21 @@ Caputo derivative of the represented function at t = 0, so the function is
     y(x, t) = sum_n c_n(x) * t^(n*alpha) / Gamma(n*alpha + 1).
 
 Storing the derivatives themselves (rather than the Taylor coefficients
-c_n / Gamma(n*alpha + 1)) makes Caputo differentiation an exact index shift
-and matches the transform-space coefficients h_n = (n*alpha + 1) c_n.
+a_n = c_n / Gamma(n*alpha + 1)) makes Caputo differentiation an exact index
+shift and matches the transform-space coefficients h_n = (n*alpha + 1) c_n.
 
-Products use the convolution weights Gamma(n*alpha+1) / (Gamma(m*alpha+1)
-Gamma(j*alpha+1)), correctly rounded from the 40-digit Gamma values of
-``special`` and cached.  Each output coefficient is one call of one of
-two product kernels in doubles, chosen by ``hypalg._lattice`` from the
-operands' sizes: the sparse ``hypalg._products``, whose frequency cells
-are one ``math.fsum`` each, or, for large operands on one generator g, the
-dense ``hypalg._laurent_products``, whose powers of z = e^(gx) are one
-``math.fsum`` each.  Each sum is correctly rounded, independent of the
-order of the contributions, and the same on every platform.  A square
-takes each pair (m, n-m), m < n-m, once at twice the weight, which gives
-the same sums on either kernel.  The error of a deep c_n
-comes from rounding the stored c_m it is built from, not from the sums:
-for example 4 at alpha = 1, exact sums of exact products drift from the
-closed form like the doubles do, about 6x an order.
+The engine's product ``mul_coeff`` works on Taylor coefficients, where every
+pair of a Cauchy product has weight 1 (a square takes each pair (m, n-m),
+m < n-m, once at weight 2).  Each output coefficient is one call of one of
+two kernels in doubles, chosen by ``hypalg._lattice`` from the operands'
+sizes: the sparse ``hypalg._products``, whose frequency cells are one
+``math.fsum`` each, or, for large operands on one generator g, the dense
+``hypalg._laurent_products``, whose powers of z = e^(gx) are one
+``math.fsum`` each.  Each sum is correctly rounded, independent of the order
+of the contributions, and the same on every platform.  Only ``series_mul``,
+the product of stored c_n, weighs pair (m, j) by ``conv_weight``,
+Gamma((m+j)alpha+1) / (Gamma(m*alpha+1) Gamma(j*alpha+1)) from the 40-digit
+Gamma values of ``special``; the engine shares none of its weights.
 
 Evaluation multiplies each term by the cached 1/Gamma(n*alpha+1),
 ``special.rgamma``, so a deep term underflows to zero instead of
@@ -39,7 +37,7 @@ from itertools import chain
 from operator import mul
 from typing import Sequence
 
-from mpmath.libmp import dps_to_prec, mpf_div, mpf_mul, round_nearest, to_float
+import mpmath
 
 from .hypalg import HypExpr, _basis, _fsum, _laurent_products, _lattice, _products
 from .special import _gamma40, rgamma, tpow
@@ -56,23 +54,14 @@ __all__ = [
     "conv_weight",
 ]
 
-_PREC40 = dps_to_prec(40)  # 136 bits, the precision of mpmath's workdps(40)
-
-
 @lru_cache(maxsize=None)
 def conv_weight(alpha: float, m: int, j: int) -> float:
-    """Gamma((m+j)a+1) / (Gamma(ma+1) Gamma(ja+1)), rounded once to a double.
-
-    The ratio of ``special``'s 40-digit Gamma values at every alpha, taken on
-    their raw ``mpmath.libmp`` values with each step rounded to nearest at
-    136 bits, as ``mpf`` arithmetic under ``workdps(40)`` does but without
-    building ``mpf`` objects.  At alpha = 1 it is the binomial C(m+j, m), the
-    same double for m + j <= 75; past that a binomial that is an exact tie
-    between two doubles may round to the other one, which is just as near.
-    """
-    g = lambda k: _gamma40(k * alpha + 1.0)[0]._mpf_
-    den = mpf_mul(g(m), g(j), _PREC40, round_nearest)
-    return to_float(mpf_div(g(m + j), den, _PREC40, round_nearest), rnd=round_nearest)
+    """Gamma((m+j)a+1) / (Gamma(ma+1) Gamma(ja+1)): the ratio of the 40-digit Gamma values,
+    rounded once.  At alpha = 1 it is the binomial C(m+j, m), the same double for
+    m + j <= 75; past that a binomial that ties between two doubles may take the other."""
+    g = lambda k: _gamma40(k * alpha + 1.0)[0]
+    with mpmath.workdps(40):
+        return float(g(m + j) / (g(m) * g(j)))
 
 
 @dataclass(frozen=True)
@@ -131,33 +120,27 @@ def series_caputo(s: FracSeries) -> FracSeries:
     return FracSeries(s.alpha, s.coeffs[1:])
 
 
-def mul_coeff(alpha: float, a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) -> HypExpr:
-    """Coefficient n of the Cauchy product of the coefficient lists a and b.
-
-    Reads only a[0..n] and b[0..n], so a caller can extend both lists one
-    coefficient at a time (the online product).
-    """
-    # a square takes m to the middle only, at twice the weight below it: pair (m, n-m)
-    # and its mirror add alike (fsum([x, x]) == fsum([2x]), exact away from subnormals).
-    # The kernel is chosen from the operands alone, the same for a square and for a
-    # product of equal lists, so series_mul and the engine give the same bits.
-    square = a is b
+def mul_coeff(a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) -> HypExpr:
+    """Coefficient n of the Cauchy product of the Taylor coefficient lists a and b, each pair
+    at weight 1.  Reads only a[0..n] and b[0..n], so both lists may grow one entry at a time."""
+    # a square takes m to the middle only, at weight 2 below it: fsum([x, x]) == fsum([2x]),
+    # exact away from subnormals.  The kernel is chosen from the operands alone, so a
+    # square and the product of two equal lists give the same bits.
     g = _lattice(a, b, n)
-    pairs = []
-    for m in range(n // 2 + 1 if square else n + 1):
-        w = conv_weight(alpha, min(m, n - m), max(m, n - m))
-        pairs.append((a[m], b[n - m], 2.0 * w if square and 2 * m < n else w))
+    pairs = ([(a[m], a[n - m], 2.0 if 2 * m < n else 1.0) for m in range(n // 2 + 1)] if a is b
+             else [(a[m], b[n - m], 1.0) for m in range(n + 1)])
     return HypExpr(_products(pairs) if g is None else _laurent_products(pairs, g))
 
 
 def series_mul(s1: FracSeries, s2: FracSeries) -> FracSeries:
-    """Cauchy product in the t^alpha monomial basis, truncated to min order."""
+    """Cauchy product of the stored c_n, truncated to min order: pair (m, n-m) weighs
+    ``conv_weight(alpha, m, n-m)``, and every product takes the sparse kernel."""
     _check_alpha(s1, s2)
-    k = min(s1.order, s2.order)
-    return FracSeries(
-        s1.alpha,
-        tuple(mul_coeff(s1.alpha, s1.coeffs, s2.coeffs, n) for n in range(k + 1)),
-    )
+    a, b, alpha = s1.coeffs, s2.coeffs, s1.alpha
+    return FracSeries(alpha, tuple(
+        HypExpr(_products((a[m], b[n - m], conv_weight(alpha, m, n - m)) for m in range(n + 1)))
+        for n in range(min(s1.order, s2.order) + 1)
+    ))
 
 
 def series_pow(s: FracSeries, p: int) -> FracSeries:

@@ -1,17 +1,18 @@
 """ARA residual power series solver for D_t^{k*alpha} y = N_x[y].
 
-The engine runs the t-space coefficient recursion
+The engine runs the t-space coefficient recursion in Taylor form
 
-    c_{n+k} = [coefficient n of N_x applied to c_0..c_n]
+    c_{n+k} = Gamma(n*alpha + 1) * [coefficient n of N_x on a_0..a_n],  a_n = c_n / Gamma(n*alpha + 1),
 
 which is what the transform-space limit extraction lim s^{k*alpha+1} G2 Res_k = 0
-isolates order by order.  Coefficient n of every operator node depends only
-on c_0..c_n, so ``solve`` runs the recursion in one pass.  ``_coefficients``
-lowers the AST once to a flat list of steps in dependency order, one per
-distinct subtree, each holding the coefficients computed so far; order n
-appends coefficient n to each from its children's lists (the online, or
-"relaxed", Cauchy product; van der Hoeven, JSC 2002).  ``apply_operator``
-runs the same engine on a given series.
+isolates order by order.  On the coefficients a_n of t^(n*alpha) every product
+is a plain Cauchy product, so alpha enters only where c_n are converted in and
+out.  Coefficient n of every operator node depends only on a_0..a_n, so
+``solve`` runs the recursion in one pass.  ``_coefficients`` lowers the AST
+once to a flat list of steps in dependency order, one per distinct subtree,
+each holding the coefficients computed so far; order n appends coefficient n
+to each from its children's lists (the online, or "relaxed", Cauchy product;
+van der Hoeven, JSC 2002).  ``apply_operator`` runs the same engine on a given series.
 
 ``residuals`` rebuilds the transform-space residual coefficient of every
 order 0..K from a finished series with one ``apply_operator`` pass over it:
@@ -35,7 +36,7 @@ import mpmath
 
 from .fpseries import FracSeries, mul_coeff
 from .hypalg import HypExpr, Kind
-from .special import _mittag_leffler, tpow
+from .special import _gamma40, _mittag_leffler, rgamma, tpow
 
 __all__ = [
     "Solution",
@@ -127,17 +128,31 @@ class Dx:
 OperatorAst = Union[Solution, Const, Add, Scale, Mul, PowInt, Dx]
 
 
+def _to_taylor(c: HypExpr, n: int, alpha: float) -> HypExpr:
+    """a_n = c_n / Gamma(n*alpha + 1), by the double 1/Gamma (0 past n*alpha of about 178)."""
+    return c.scale(rgamma(n * alpha + 1.0))
+
+
+def _from_taylor(a: HypExpr, n: int, alpha: float) -> HypExpr:
+    """c_n = a_n * Gamma(n*alpha + 1), by the double Gamma; past its range (n*alpha above
+    about 170.6) each term is the exact product with the 40-digit Gamma, rounded once."""
+    g40, g, _ = _gamma40(n * alpha + 1.0)
+    if g < math.inf:
+        return a.scale(g)
+    return HypExpr.of((k, f, mpmath.fmul(c, g40, exact=True)) for k, f, c in a.terms)
+
+
 def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Callable[[int], HypExpr]:
     """Lower the AST once; return ``next(n)``, which reads y[0..n] and gives the root's c_n.
 
-    A step is a coefficient list and the function of n that gives its next
-    entry from its children's lists; ``next(n)`` appends entry n to every
-    step, in dependency order.  A step's key is its node type, scalar fields
-    and children's list ids, so equal subtrees share a step and no node is
-    hashed; an object met twice is lowered once.  Power p is power p-1 times
-    the base, in a loop, so nested powers do not deepen the recursion.
+    A step, a list of a_n and the function of n that gives its next entry, is
+    keyed by its node type, scalar fields and children's list ids, so equal
+    subtrees share a step and no node is hashed; an object met twice is lowered
+    once.  Power p is power p-1 times the base, in a loop, so nested powers do
+    not deepen the recursion.
     """
-    mul = partial(mul_coeff, alpha)  # read at lowering time
+    if isinstance(node, Solution):
+        return y.__getitem__  # c_n as it is, not through a_n and back
     # key -> (coefficient list, next entry); a dict keeps the dependency order
     steps: dict[tuple, tuple[list[HypExpr], Callable[[int], HypExpr]]] = {}
     by_id: dict[int, Sequence[HypExpr]] = {}
@@ -150,7 +165,7 @@ def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Call
         if out is not None:
             return out
         if isinstance(node, Solution):
-            out = y
+            out = step((Solution,), lambda n: _to_taylor(y[n], n, alpha))
         elif isinstance(node, Const):
             v = node.value
             out = step((Const, v), lambda n, v=v: HypExpr.const(v) if n == 0 else HypExpr())
@@ -162,11 +177,11 @@ def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Call
             out = step((Scale, f, id(a)), lambda n, a=a, f=f: a[n].scale(f))
         elif isinstance(node, Mul):
             a, b = lower(node.left), lower(node.right)
-            out = step((Mul, id(a), id(b)), partial(mul, a, b))
+            out = step((Mul, id(a), id(b)), partial(mul_coeff, a, b))
         elif isinstance(node, PowInt):
             out = base = lower(node.child)
             for q in range(2, node.exponent + 1):
-                out = step((PowInt, q, id(base)), partial(mul, out, base))
+                out = step((PowInt, q, id(base)), partial(mul_coeff, out, base))
         elif isinstance(node, Dx):
             a, m = lower(node.child), node.order
             out = step((Dx, m, id(a)), lambda n, a=a, m=m: a[n].diff(m))
@@ -180,7 +195,7 @@ def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Call
     def next_coefficient(n: int) -> HypExpr:
         for out, nxt in steps.values():
             out.append(nxt(n))
-        return root[n]
+        return _from_taylor(root[n], n, alpha)
 
     return next_coefficient
 

@@ -1,8 +1,10 @@
 """Gamma, the Mittag-Leffler function, and the truncated hyperbolic-type fractional series.
 
 Gamma is evaluated here only: one cached 40-digit ``mpmath.gamma`` value per
-argument, which ``gamma`` and ``rgamma`` round once to a double and the
-convolution weights of ``fpseries`` read directly.  Every series term
+argument, which ``gamma`` and ``rgamma`` round once to a double.  The solver
+converts between c_n and the Taylor coefficients c_n / Gamma(n*alpha + 1)
+with those doubles, and reads the 40-digit value where Gamma leaves the
+double range, as ``fpseries.conv_weight`` does for its ratios.  Every series term
 t^p / Gamma(p+1) is formed as ``tpow(t, p) * rgamma(p + 1)``, so a deep term
 underflows to zero instead of overflowing.  ``_mittag_leffler`` gives
 E_alpha(z) in mpmath for the closed-form benchmark waves.

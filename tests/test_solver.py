@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import re
 import time
 import warnings
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import ararps.solver
 from ararps.fpseries import (
     FracSeries,
+    mul_coeff,
     series_eval,
     series_mul,
     series_pow,
@@ -43,6 +45,7 @@ from ararps.solver import (
     solve,
     with_alpha,
 )
+from ararps.solver import _from_taylor, _to_taylor
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
 
@@ -107,25 +110,60 @@ class TestAst:
         assert coeffs[2] == HypExpr.cosh(1.0, 2.0) + HypExpr.sinh(1.0, 2.0)
 
 
+def _taylor_reference(node, a: list) -> list:
+    """Whole-list evaluation of the operator on Taylor coefficients a_n."""
+    if isinstance(node, Solution):
+        return a
+    if isinstance(node, Const):
+        return [HypExpr.const(node.value)] + [HypExpr()] * (len(a) - 1)
+    if isinstance(node, Add):
+        acc = _taylor_reference(node.terms[0], a)
+        for term in node.terms[1:]:
+            acc = list(map(operator.add, acc, _taylor_reference(term, a)))
+        return acc
+    if isinstance(node, Scale):
+        return [e.scale(node.factor) for e in _taylor_reference(node.child, a)]
+    if isinstance(node, Mul):
+        left, right = _taylor_reference(node.left, a), _taylor_reference(node.right, a)
+        return [mul_coeff(left, right, n) for n in range(len(a))]
+    if isinstance(node, PowInt):
+        acc = base = _taylor_reference(node.child, a)
+        for _ in range(node.exponent - 1):
+            acc = [mul_coeff(acc, base, n) for n in range(len(a))]
+        return acc
+    if isinstance(node, Dx):
+        return [e.diff(node.order) for e in _taylor_reference(node.child, a)]
+    raise ValueError(f"ill-formed operator AST node: {node!r}")
+
+
 def _apply_reference(node, y: FracSeries) -> FracSeries:
-    """Reference: whole-series evaluation of the operator from the series primitives."""
+    """Reference: the operator on the whole Taylor list, converted in and out once."""
+    if isinstance(node, Solution):
+        return y
+    a = [_to_taylor(c, n, y.alpha) for n, c in enumerate(y.coeffs)]
+    out = _taylor_reference(node, a)
+    return FracSeries(y.alpha, tuple(_from_taylor(e, n, y.alpha) for n, e in enumerate(out)))
+
+
+def _series_reference(node, y: FracSeries) -> FracSeries:
+    """The operator composed from the public c_n series primitives (weights in ``series_mul``)."""
     if isinstance(node, Solution):
         return y
     if isinstance(node, Const):
         return FracSeries.constant(y.alpha, node.value, y.order)
     if isinstance(node, Add):
-        acc = _apply_reference(node.terms[0], y)
+        acc = _series_reference(node.terms[0], y)
         for term in node.terms[1:]:
-            acc = acc + _apply_reference(term, y)
+            acc = acc + _series_reference(term, y)
         return acc
     if isinstance(node, Scale):
-        return _apply_reference(node.child, y).scale(node.factor)
+        return _series_reference(node.child, y).scale(node.factor)
     if isinstance(node, Mul):
-        return series_mul(_apply_reference(node.left, y), _apply_reference(node.right, y))
+        return series_mul(_series_reference(node.left, y), _series_reference(node.right, y))
     if isinstance(node, PowInt):
-        return series_pow(_apply_reference(node.child, y), node.exponent)
+        return series_pow(_series_reference(node.child, y), node.exponent)
     if isinstance(node, Dx):
-        return series_spatial_diff(_apply_reference(node.child, y), node.order)
+        return series_spatial_diff(_series_reference(node.child, y), node.order)
     raise ValueError(f"ill-formed operator AST node: {node!r}")
 
 
@@ -186,8 +224,8 @@ def _shared_pow_spec() -> PdeSpec:
 # run only the sparse product kernel; most of the generic spec's products run
 # the dense lattice kernel, so its digest moves with either kernel's bits.
 GOLDEN_DIGESTS = {
-    "examples": "13523e60d0c1de95486c5b94d346552a60290b1429c271fb617936eae88688e9",
-    "generic": "5591c52be03cf9ab4fe9af3e2fd295292b839482c796b22cc9a05951dd425b80",
+    "examples": "31c0d0d7c97c2669e0f23315394a44e744244230fac4a02910464e89b2e68d86",
+    "generic": "38529d0c342897d462bdbf3fbba5441cc94b33e39b64af2dd9d79472dd0a2b72",
 }
 GOLDEN_SOLVES = {
     "examples": [(with_alpha(builtin_example(ex), a), 24) for ex in (1, 2, 3, 4) for a in (0.5, 1.0)],
@@ -229,6 +267,36 @@ class TestOnePassEngine:
         monkeypatch.setattr(ararps.solver, "residual_check", forbidden)
         monkeypatch.setattr(ararps.solver, "apply_operator", forbidden)
         assert solve(spec, K).order == K
+
+    @pytest.mark.parametrize("spec,K", [pytest.param(with_alpha(builtin_example(ex), a), 8, id=f"ex{ex}-alpha{a}")
+                                        for ex in (1, 2, 3, 4) for a in ALPHAS]
+                             + [pytest.param(_generic_spec(), 6, id="generic")])
+    def test_apply_operator_matches_series_primitives(self, spec, K):
+        # the c_n primitives weigh each pair by conv_weight, the engine by 1 on a_n:
+        # no weight is shared, so they agree within rounding, 1e-12 of sum|terms|
+        # (3.8e-13 for example 4 at alpha = 1, whose products cancel; else below 1e-15)
+        series = solve(spec, K).series
+        got, want = apply_operator(spec.rhs, series).coeffs, _series_reference(spec.rhs, series).coeffs
+        for g, w in zip(got, want):
+            assert (g - w).max_abs_coeff() <= 1e-12 * sum(abs(c) for _, _, c in w.terms)
+
+    def test_engine_never_calls_conv_weight(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("conv_weight called by the engine")
+
+        monkeypatch.setattr(ararps.fpseries, "conv_weight", forbidden)
+        for spec in [builtin_example(ex) for ex in (1, 2, 3, 4)] + [_generic_spec()]:
+            for a in (0.5, spec.alpha):
+                series = solve(with_alpha(spec, a), 6).series
+                apply_operator(spec.rhs, series)
+
+    def test_deep_taylor_coefficient_converts_past_the_double_gamma(self):
+        # Gamma(173) = 172! is inf as a double; c_172 = a_172 * 172! is finite
+        (kind, freq, coeff), = _from_taylor(HypExpr.sinh(1.0, 1e-300), 172, 1.0).terms
+        with mpmath.workdps(60):
+            want = float(mpmath.mpf(1e-300) * mpmath.factorial(172))
+        assert (kind, freq) == (Kind.SINH, 1.0) and coeff == pytest.approx(want, rel=1e-15)
+        assert 1e11 < coeff < 1e13
 
     def test_coefficient_bits_pinned(self):
         digests = {}
