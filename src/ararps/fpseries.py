@@ -134,11 +134,11 @@ def mul_coeff(a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) -> HypExpr:
 
 def series_mul(s1: FracSeries, s2: FracSeries) -> FracSeries:
     """Cauchy product of the stored c_n, truncated to min order: pair (m, n-m) weighs
-    ``conv_weight(alpha, m, n-m)``, and every product takes the sparse kernel."""
+    ``conv_weight`` of the two orders, smaller first, and every product takes the sparse kernel."""
     _check_alpha(s1, s2)
     a, b, alpha = s1.coeffs, s2.coeffs, s1.alpha
-    return FracSeries(alpha, tuple(
-        HypExpr(_products((a[m], b[n - m], conv_weight(alpha, m, n - m)) for m in range(n + 1)))
+    return FracSeries(alpha, tuple(HypExpr(_products(
+        (a[m], b[n - m], conv_weight(alpha, min(m, n - m), max(m, n - m))) for m in range(n + 1)))
         for n in range(min(s1.order, s2.order) + 1)
     ))
 

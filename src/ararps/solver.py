@@ -5,14 +5,15 @@ The engine runs the t-space coefficient recursion in Taylor form
     c_{n+k} = Gamma(n*alpha + 1) * [coefficient n of N_x on a_0..a_n],  a_n = c_n / Gamma(n*alpha + 1),
 
 which is what the transform-space limit extraction lim s^{k*alpha+1} G2 Res_k = 0
-isolates order by order.  On the coefficients a_n of t^(n*alpha) every product
-is a plain Cauchy product, so alpha enters only where c_n are converted in and
-out.  Coefficient n of every operator node depends only on a_0..a_n, so
-``solve`` runs the recursion in one pass.  ``_coefficients`` lowers the AST
-once to a flat list of steps in dependency order, one per distinct subtree,
-each holding the coefficients computed so far; order n appends coefficient n
-to each from its children's lists (the online, or "relaxed", Cauchy product;
-van der Hoeven, JSC 2002).  ``apply_operator`` runs the same engine on a given series.
+isolates order by order.  On the coefficients a_n of t^(n*alpha), held at a
+power-of-two time scale, every product is a plain Cauchy product, so alpha
+enters only where c_n are converted in and out.  Coefficient n of every
+operator node depends only on a_0..a_n, so ``solve`` runs the recursion in
+one pass.  ``_coefficients`` lowers the AST once to a flat list of steps in
+dependency order, one per distinct subtree, each holding the coefficients
+computed so far; order n appends coefficient n to each from its children's
+lists (the online, or "relaxed", Cauchy product; van der Hoeven, JSC 2002).
+``apply_operator`` runs the same engine on a given series.
 
 ``residuals`` rebuilds the transform-space residual coefficient of every
 order 0..K from a finished series with one ``apply_operator`` pass over it:
@@ -36,7 +37,7 @@ import mpmath
 
 from .fpseries import FracSeries, mul_coeff
 from .hypalg import HypExpr, Kind
-from .special import _gamma40, _mittag_leffler, rgamma, tpow
+from .special import _gamma40, _mittag_leffler, tpow
 
 __all__ = [
     "Solution",
@@ -128,34 +129,37 @@ class Dx:
 OperatorAst = Union[Solution, Const, Add, Scale, Mul, PowInt, Dx]
 
 
-def _to_taylor(c: HypExpr, n: int, alpha: float) -> HypExpr:
-    """a_n = c_n / Gamma(n*alpha + 1), by the double 1/Gamma (0 past n*alpha of about 178)."""
-    return c.scale(rgamma(n * alpha + 1.0))
-
-
-def _from_taylor(a: HypExpr, n: int, alpha: float) -> HypExpr:
-    """c_n = a_n * Gamma(n*alpha + 1), by the double Gamma; past its range (n*alpha above
-    about 170.6) each term is the exact product with the 40-digit Gamma, rounded once."""
-    g40, g, _ = _gamma40(n * alpha + 1.0)
-    if g < math.inf:
-        return a.scale(g)
-    return HypExpr.of((k, f, mpmath.fmul(c, g40, exact=True)) for k, f, c in a.terms)
+def _times(c: HypExpr, x: float, s: int, inverse: bool) -> HypExpr:
+    """c * 2**s * Gamma(x), or / Gamma(x) if ``inverse``: by special's double shifted by s where
+    both are normal numbers, else each term's exact product with the 40-digit value, rounded once."""
+    g40, g, rg = _gamma40(x)
+    d = rg if inverse else g
+    if sys.float_info.min <= d < math.inf and -1021 <= math.frexp(d)[1] + s <= 1024:
+        return c.scale(math.ldexp(d, s))
+    with mpmath.workdps(40):
+        f = mpmath.ldexp(1 / g40 if inverse else g40, s)
+    return HypExpr.of((k, fr, mpmath.fmul(v, f, exact=True)) for k, fr, v in c.terms)
 
 
 def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Callable[[int], HypExpr]:
     """Lower the AST once; return ``next(n)``, which reads y[0..n] and gives the root's c_n.
 
-    A step, a list of a_n and the function of n that gives its next entry, is
+    A step, a list of b_n and the function of n that gives its next entry, is
     keyed by its node type, scalar fields and children's list ids, so equal
     subtrees share a step and no node is hashed; an object met twice is lowered
     once.  Power p is power p-1 times the base, in a loop, so nested powers do
-    not deepen the recursion.
+    not deepen the recursion.  The root, never ``Solution`` (the callers read y
+    as it is), is the last step; no step reads its list, so it keeps none.
+
+    The lists hold b_n = a_n * 2**(n*e).  Where log2 of the leaf's largest b_n
+    term, by the double lgamma, is more than 256 from 0, order n moves e by the
+    nearest integer to that over n and shifts every list: exactly, so the bits
+    do not depend on e while values are normal; a leaf b_n that is not raises.
     """
-    if isinstance(node, Solution):
-        return y.__getitem__  # c_n as it is, not through a_n and back
     # key -> (coefficient list, next entry); a dict keeps the dependency order
     steps: dict[tuple, tuple[list[HypExpr], Callable[[int], HypExpr]]] = {}
     by_id: dict[int, Sequence[HypExpr]] = {}
+    e = 0
 
     def step(key: tuple, nxt: Callable[[int], HypExpr]) -> list[HypExpr]:
         return steps.setdefault(key, ([], nxt))[0]
@@ -165,7 +169,7 @@ def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Call
         if out is not None:
             return out
         if isinstance(node, Solution):
-            out = step((Solution,), lambda n: _to_taylor(y[n], n, alpha))
+            out = step((Solution,), lambda n: _times(y[n], n * alpha + 1.0, n * e, True))
         elif isinstance(node, Const):
             v = node.value
             out = step((Const, v), lambda n, v=v: HypExpr.const(v) if n == 0 else HypExpr())
@@ -190,12 +194,25 @@ def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Call
         by_id[id(node)] = out
         return out
 
-    root = lower(node)
+    lower(node)
+    del lower  # it calls itself through its closure: a cycle that would hold the steps
+    leaf = steps[Solution,][0] if (Solution,) in steps else None
+    *inner, (_, root) = steps.values()
 
     def next_coefficient(n: int) -> HypExpr:
-        for out, nxt in steps.values():
+        nonlocal e
+        top = y[n].max_abs_coeff() if n and leaf is not None else 0.0
+        lb = math.log2(top) + n * e - math.lgamma(n * alpha + 1.0) / math.log(2.0) if top else 0.0
+        if d := -round(lb / n) if abs(lb) > 256.0 else 0:
+            e += d
+            for out, _ in inner:
+                out[:] = [HypExpr.of((k, f, math.ldexp(v, m * d)) for k, f, v in b.terms)
+                          for m, b in enumerate(out)]
+        for out, nxt in inner:
             out.append(nxt(n))
-        return _from_taylor(root[n], n, alpha)
+        if top and leaf[n].max_abs_coeff() < min(top, sys.float_info.min):  # not where c_n is subnormal
+            raise OverflowError(f"c_{n} leaves the double range of the engine's scaled Taylor coefficients")
+        return _times(root(n), n * alpha + 1.0, -n * e, False)
 
     return next_coefficient
 
@@ -269,7 +286,8 @@ def solve(spec: PdeSpec, K: int = 6) -> SolveResult:
     coeffs: list[HypExpr] = [spec.ic_a]
     if k == 2:
         coeffs.append(spec.ic_b)  # type: ignore[arg-type]
-    nxt = _coefficients(spec.rhs, spec.alpha, coeffs)
+    nxt = (coeffs.__getitem__ if isinstance(spec.rhs, Solution)
+           else _coefficients(spec.rhs, spec.alpha, coeffs))
     for n in range(K - k + 1):
         coeffs.append(nxt(n))
     return SolveResult(FracSeries(spec.alpha, tuple(coeffs)))

@@ -2,9 +2,9 @@
 
 Gamma is evaluated here only: one cached 40-digit ``mpmath.gamma`` value per
 argument, which ``gamma`` and ``rgamma`` round once to a double.  The solver
-converts between c_n and the Taylor coefficients c_n / Gamma(n*alpha + 1)
-with those doubles, and reads the 40-digit value where Gamma leaves the
-double range, as ``fpseries.conv_weight`` does for its ratios.  Every series term
+converts between c_n and its scaled Taylor coefficients c_n 2^(n*e) / Gamma(n*alpha + 1)
+with those doubles, and reads the 40-digit value where one, or its shift, is
+not a normal number, as ``fpseries.conv_weight`` does for its ratios.  Every series term
 t^p / Gamma(p+1) is formed as ``tpow(t, p) * rgamma(p + 1)``, so a deep term
 underflows to zero instead of overflowing.  ``_mittag_leffler`` gives
 E_alpha(z) in mpmath for the closed-form benchmark waves.

@@ -45,7 +45,7 @@ from ararps.solver import (
     solve,
     with_alpha,
 )
-from ararps.solver import _from_taylor, _to_taylor
+from ararps.solver import _times
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
 
@@ -140,9 +140,9 @@ def _apply_reference(node, y: FracSeries) -> FracSeries:
     """Reference: the operator on the whole Taylor list, converted in and out once."""
     if isinstance(node, Solution):
         return y
-    a = [_to_taylor(c, n, y.alpha) for n, c in enumerate(y.coeffs)]
+    a = [_times(c, n * y.alpha + 1.0, 0, True) for n, c in enumerate(y.coeffs)]
     out = _taylor_reference(node, a)
-    return FracSeries(y.alpha, tuple(_from_taylor(e, n, y.alpha) for n, e in enumerate(out)))
+    return FracSeries(y.alpha, tuple(_times(e, n * y.alpha + 1.0, 0, False) for n, e in enumerate(out)))
 
 
 def _series_reference(node, y: FracSeries) -> FracSeries:
@@ -292,11 +292,38 @@ class TestOnePassEngine:
 
     def test_deep_taylor_coefficient_converts_past_the_double_gamma(self):
         # Gamma(173) = 172! is inf as a double; c_172 = a_172 * 172! is finite
-        (kind, freq, coeff), = _from_taylor(HypExpr.sinh(1.0, 1e-300), 172, 1.0).terms
+        (kind, freq, coeff), = _times(HypExpr.sinh(1.0, 1e-300), 173.0, 0, False).terms
         with mpmath.workdps(60):
             want = float(mpmath.mpf(1e-300) * mpmath.factorial(172))
         assert (kind, freq) == (Kind.SINH, 1.0) and coeff == pytest.approx(want, rel=1e-15)
         assert 1e11 < coeff < 1e13
+
+    @pytest.mark.parametrize("x", [172.0, 175.0, 178.0, 180.0])
+    def test_taylor_conversion_is_exact_where_one_over_gamma_is_subnormal(self, x):
+        # 1/Gamma(x) is subnormal as a double from x of about 171.4 and 0 from about 178.5;
+        # shifted into the normal range, c * 2**300 / Gamma(x) keeps every bit
+        (_, _, coeff), = _times(HypExpr.const(3.0), x, 300, True).terms
+        with mpmath.workdps(60):
+            assert coeff == float(mpmath.ldexp(3 / mpmath.gamma(x), 300))
+
+    def test_scale_shift_keeps_the_bits(self):
+        # c_n = 2**(-300 n) puts a_n far from 1, so the engine shifts its scale at n = 1;
+        # the whole-list reference, unshifted, stays in the normal range to K = 3
+        spec = with_alpha(builtin_example(2), 0.5)
+        coeffs = tuple(HypExpr.cosh(1.0, 2.0 ** (-300 * n)) + HypExpr.const(0.7 * 2.0 ** (-300 * n))
+                       for n in range(4))
+        y = FracSeries(0.5, coeffs)
+        assert apply_operator(spec.rhs, y).coeffs == _apply_reference(spec.rhs, y).coeffs
+
+    def test_coefficient_past_the_scaled_range_raises(self):
+        # one integer scale per pass puts b_n within n/2 bits of 1: past n of about 2044 a
+        # coefficient can fall outside the doubles, which raises instead of giving 0
+        n, alpha = 2100, 0.085
+        bits = math.lgamma(n * alpha + 1.0) / math.log(2.0)
+        last = HypExpr.cosh(1.0, 2.0 ** (round(bits) - 1049))  # b_2100 about 2**-1049
+        coeffs = (HypExpr.const(1.0),) + (HypExpr(),) * (n - 1) + (last,)
+        with pytest.raises(OverflowError, match="c_2100"):
+            apply_operator(Dx(1, Solution()), FracSeries(alpha, coeffs))
 
     def test_coefficient_bits_pinned(self):
         digests = {}
@@ -454,6 +481,18 @@ class TestCoefficientPatterns:
                 _assert_expr(res.series.coeffs[n], HypExpr.cosh(1.0))
             else:
                 _assert_expr(res.series.coeffs[n], HypExpr.sinh(1.0, -1.0))
+
+    @pytest.mark.parametrize("ex,alpha,K", [(1, 1.0, 200), (3, 1.0, 200), (2, 0.25, 720)])
+    def test_examples_1_to_3_deep(self, ex, alpha, K):
+        # c_n = A r^n (cosh even / -sinh odd)(q x) at every alpha, past the orders where the
+        # double a_n = c_n / Gamma(n*alpha + 1), or 1/Gamma itself, leaves the normal range
+        # (n = 152, 173 and 684 here); measured within 7.4e-15 relative
+        A, q, r = ararps.solver._wave(ex, ExampleParams())
+        coeffs = solve(with_alpha(builtin_example(ex), alpha), K).series.coeffs
+        for n in range(1, K + 1):
+            mag = A * r ** n
+            want = HypExpr.cosh(q, mag) if n % 2 == 0 else HypExpr.sinh(q, -mag)
+            _assert_expr(coeffs[n], want, tol=1e-13 * abs(mag))
 
     def test_example_4_classical(self):
         res = solve(builtin_example(4), 6)
