@@ -13,22 +13,11 @@ from ararps.ara import (
     verify_property,
 )
 from ararps.fpseries import FracSeries, series_eval
-from ararps.hypalg import HypExpr, Kind
+from ararps.hypalg import HypExpr
 from ararps.special import gamma
+from strategies import ALPHAS, random_series
 
 S_GRID = (10.0, 20.0, 40.0, 80.0)
-
-
-def _random_series(rng, alpha, K):
-    coeffs = []
-    for _ in range(K + 1):
-        terms = []
-        for _ in range(rng.randint(1, 3)):
-            kind = rng.choice([Kind.CONST, Kind.COSH, Kind.SINH])
-            freq = 0.0 if kind is Kind.CONST else rng.choice([0.5, 1.0])
-            terms.append((kind, freq, rng.uniform(0.1, 1.0)))
-        coeffs.append(HypExpr.of(terms))
-    return FracSeries(alpha, tuple(coeffs))
 
 
 class TestSeriesMaps:
@@ -40,8 +29,8 @@ class TestSeriesMaps:
 
     def test_round_trip_exact(self):
         rng = random.Random(7)
-        for alpha in (0.25, 0.5, 0.75, 1.0):
-            s = _random_series(rng, alpha, 6)
+        for alpha in ALPHAS:
+            s = random_series(rng, alpha, 6)
             back = from_ara(to_ara(s))
             for c1, c2 in zip(s.coeffs, back.coeffs):
                 for (k1, f1, v1), (k2, f2, v2) in zip(c1.terms, c2.terms):
@@ -51,7 +40,7 @@ class TestSeriesMaps:
     def test_transform_of_series_matches_quadrature(self):
         # the formal image evaluated at moderate s equals the numeric transform
         alpha, x = 0.5, 0.4
-        s = _random_series(random.Random(8), alpha, 4)
+        s = random_series(random.Random(8), alpha, 4)
         img = to_ara(s)
         f = lambda t: series_eval(s, x, t)
         for s0 in (5.0, 8.0):

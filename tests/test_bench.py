@@ -30,6 +30,7 @@ from ararps.solver import (
     solve,
     with_alpha,
 )
+from strategies import dx_chain_spec
 
 
 class TestTableRow:
@@ -168,13 +169,6 @@ class TestValidation:
         assert calls == 16
 
 
-def _dx_chain(depth):
-    node = {"node": "solution"}
-    for _ in range(depth - 1):
-        node = {"node": "dx", "order": 1, "child": node}
-    return node
-
-
 # (command, flag) pairs that take a float; --at-x / --at-t set one side of --at x:t
 _ADVERSARIAL_FLAGS = (
     [("solve", f) for f in ("--alpha", "--gamma", "--v", "--w", "--lam", "--at-x", "--at-t")]
@@ -308,7 +302,7 @@ class TestCli:
         [lambda d: d.pop("rhs"), lambda d: d["ic_a"][0].update(coeff="nan"),
          lambda d: d["ic_a"][0].update(freq=1e300), lambda d: d["rhs"].update(terms=[]),
          lambda d: d["rhs"]["terms"][0].update(child=3),
-         lambda d: d.update(rhs=_dx_chain(800)), lambda d: d["ic_a"][0].update(coeff=1e308),
+         lambda d: d.update(json.loads(dx_chain_spec(800))), lambda d: d["ic_a"][0].update(coeff=1e308),
          lambda d: d["rhs"]["terms"][0]["child"].update(exponent=1e12),
          lambda d: d["rhs"]["terms"][0].update(order=1e12),
          lambda d: d.update(rhs={"node": "scale", "factor": 1e300, "child": {"node": "solution"}},

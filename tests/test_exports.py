@@ -1,6 +1,7 @@
 """The package's public names: every ``__all__`` entry exists,
 ``ararps/__init__.py`` re-exports only names its modules list in ``__all__``,
-and the README's quick start runs on them."""
+and the README's quick start runs on them.  Also: the test modules draw their
+random inputs from ``tests/strategies.py`` alone."""
 
 import ast
 import importlib
@@ -28,6 +29,18 @@ def test_package_reexports_only_listed_names():
             mod = importlib.import_module(f"ararps.{node.module}")
             unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in mod.__all__]
     assert unlisted == []
+
+
+def test_random_inputs_come_from_strategies():
+    # test_acceptance.py keeps its own series, so that the acceptance gate stands alone
+    copies = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        if path.name != "test_acceptance.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and ("random_series" in node.name or any(
+                        ast.unparse(d).endswith("composite") for d in node.decorator_list)):
+                    copies.append(f"{path.name}::{node.name}")
+    assert copies == []
 
 
 def test_readme_quick_start_prints_its_comments(capsys):

@@ -22,18 +22,7 @@ from ararps.fpseries import (
 from ararps.hypalg import HypExpr, Kind
 from ararps.solver import builtin_example, solve, with_alpha
 from ararps.special import _gamma40, gamma
-
-
-def _random_series(rng, alpha, K):
-    coeffs = []
-    for _ in range(K + 1):
-        terms = []
-        for _ in range(rng.randint(0, 3)):
-            kind = rng.choice([Kind.CONST, Kind.COSH, Kind.SINH])
-            freq = 0.0 if kind is Kind.CONST else rng.choice([0.5, 1.0, 2.0])
-            terms.append((kind, freq, rng.uniform(-1.0, 1.0)))
-        coeffs.append(HypExpr.of(terms))
-    return FracSeries(alpha, tuple(coeffs))
+from strategies import ALPHAS, full_lattice_exprs, hex_terms, random_series
 
 
 _normal_coeff = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-100)
@@ -144,7 +133,7 @@ class TestFracSeries:
 
 class TestShifts:
     def test_caputo_is_left_shift(self):
-        s = _random_series(random.Random(0), 0.5, 4)
+        s = random_series(random.Random(0), 0.5, 4)
         d = series_caputo(s)
         assert d.order == 3
         assert d.coeffs == s.coeffs[1:]
@@ -176,16 +165,14 @@ class TestMul:
         # exact away from subnormal contributions, which the coefficients avoid
         a = [HypExpr.of(terms) for terms in coeffs]
         for n in range(len(a)):
-            square, general = mul_coeff(a, a, n), mul_coeff(a, list(a), n)
-            assert [(k, f.hex(), c.hex()) for k, f, c in square.terms] == [
-                (k, f.hex(), c.hex()) for k, f, c in general.terms]
+            assert hex_terms(mul_coeff(a, a, n).terms) == hex_terms(mul_coeff(a, list(a), n).terms)
 
     def test_mul_commutes(self):
         # bitwise: the contributions are the same doubles and fsum ignores their order
         rng = random.Random(3)
         for _ in range(200):
-            s1 = _random_series(rng, 0.6, 4)
-            s2 = _random_series(rng, 0.6, 4)
+            s1 = random_series(rng, 0.6, 4)
+            s2 = random_series(rng, 0.6, 4)
             p1, p2 = series_mul(s1, s2), series_mul(s2, s1)
             assert [c.terms for c in p1.coeffs] == [c.terms for c in p2.coeffs]
 
@@ -194,20 +181,15 @@ class TestMul:
     def test_dense_products_commute_and_square_bitwise(self, g, data):
         # every multiple k*g up to 8 of both kinds and a constant: the dense kernel's size
         # rule takes these; a and b alike, so a * b and b * a take the same path
-        coeff = st.builds(math.copysign, st.floats(1e-3, 2.0), st.sampled_from([1.0, -1.0]))
-        full = st.lists(coeff, min_size=17, max_size=17).map(lambda cs: HypExpr.of(
-            [(Kind.CONST, 0.0, cs[0])]
-            + [(kind, k * g, cs[2 * k - 2 + int(kind)]) for k in range(1, 9) for kind in (Kind.COSH, Kind.SINH)]))
-        a = data.draw(st.lists(full, min_size=1, max_size=4))
-        b = data.draw(st.lists(full, min_size=len(a), max_size=len(a)))
+        a = data.draw(st.lists(full_lattice_exprs(g), min_size=1, max_size=4))
+        b = data.draw(st.lists(full_lattice_exprs(g), min_size=len(a), max_size=len(a)))
         dense = []
         real = fpseries._laurent_products
-        hexed = lambda e: [(k, f.hex(), c.hex()) for k, f, c in e.terms]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fpseries, "_laurent_products", lambda pairs, g: dense.append(g) or real(pairs, g))
             for n in range(len(a)):
-                assert hexed(mul_coeff(a, b, n)) == hexed(mul_coeff(b, a, n))
-                assert hexed(mul_coeff(a, a, n)) == hexed(mul_coeff(a, list(a), n))
+                assert hex_terms(mul_coeff(a, b, n).terms) == hex_terms(mul_coeff(b, a, n).terms)
+                assert hex_terms(mul_coeff(a, a, n).terms) == hex_terms(mul_coeff(a, list(a), n).terms)
         assert len(dense) == 4 * len(a)
 
     @pytest.mark.parametrize(
@@ -227,8 +209,8 @@ class TestMul:
         for _ in range(25):
             alpha = rng.uniform(0.3, 1.0)
             K = rng.randint(1, 4)
-            s1 = _random_series(rng, alpha, K)
-            s2 = _random_series(rng, alpha, K)
+            s1 = random_series(rng, alpha, K)
+            s2 = random_series(rng, alpha, K)
             pad = (HypExpr.zero(),) * K
             full = series_mul(
                 FracSeries(alpha, s1.coeffs + pad), FracSeries(alpha, s2.coeffs + pad)
@@ -267,7 +249,7 @@ class TestSpatialDiffAndEval:
         assert series_eval(ones, 0.0, 0.5) == pytest.approx(math.exp(0.5), rel=1e-14)
 
     def test_eval_at_t0_is_ic(self):
-        s = _random_series(random.Random(5), 0.4, 5)
+        s = random_series(random.Random(5), 0.4, 5)
         assert series_eval(s, 0.3, 0.0) == pytest.approx(s.coeffs[0](0.3), rel=1e-15)
 
     def test_eval_rejects_negative_t(self):
@@ -277,7 +259,7 @@ class TestSpatialDiffAndEval:
 
 class TestGrid:
     @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("alpha", ALPHAS)
     def test_grid_equals_pointwise(self, example_id, alpha):
         s = solve(with_alpha(builtin_example(example_id), alpha), 24).series
         xs, ts = [-3.0, 0.0, 0.7, 5.0], [0.0, 1e-3, 0.5, 2.0]
@@ -322,7 +304,7 @@ class TestGrid:
             series_grid(s, [300.0], [0.0, 0.5])
 
     @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("alpha", ALPHAS)
     def test_grid_matches_mpmath_sum_of_terms(self, example_id, alpha):
         # table grid and surface points against 30 digits, within 8 ulps of sum |terms|
         s = solve(with_alpha(builtin_example(example_id), alpha), 24).series

@@ -6,25 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ararps.hypalg import HypExpr, Kind, _basis, _canonical, _laurent_products, _lattice, _products
-
-
-def _coeffs(e: HypExpr) -> dict:
-    return {(k, round(f, 9)): c for k, f, c in e.terms}
-
-
-coeff_st = st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-6)
-freq_st = st.sampled_from([0.5, 1.0, 1.5, 2.0, 1.0 / 3.0])
-
-
-@st.composite
-def hyp_exprs(draw):
-    n = draw(st.integers(0, 4))
-    terms = []
-    for _ in range(n):
-        kind = draw(st.sampled_from([Kind.CONST, Kind.COSH, Kind.SINH]))
-        freq = 0.0 if kind is Kind.CONST else draw(freq_st)
-        terms.append((kind, freq, draw(coeff_st)))
-    return HypExpr.of(terms)
+from strategies import hex_terms, hyp_exprs, lattice_exprs, term_map
 
 
 class TestCanonicalForm:
@@ -103,7 +85,7 @@ class TestCanonicalForm:
 
     def test_cancellation_residue_pruned(self):
         e = HypExpr.cosh(1.0, 1.0) + HypExpr.cosh(1.0, -1.0) + HypExpr.const(5.0)
-        assert _coeffs(e) == {(Kind.CONST, 0.0): 5.0}
+        assert term_map(e) == {(Kind.CONST, 0.0): 5.0}
 
     def test_small_coefficient_on_high_frequency_kept(self):
         # 1e-6*cosh(18x) is about 2e9 at x=2: small relative to 1e18 only
@@ -121,16 +103,16 @@ class TestCanonicalForm:
 class TestAlgebra:
     def test_product_to_sum_cosh_cosh(self):
         e = HypExpr.cosh(2.0) * HypExpr.cosh(1.0)
-        assert _coeffs(e) == pytest.approx({(Kind.COSH, 3.0): 0.5, (Kind.COSH, 1.0): 0.5})
+        assert term_map(e) == pytest.approx({(Kind.COSH, 3.0): 0.5, (Kind.COSH, 1.0): 0.5})
 
     def test_product_to_sum_sinh_sinh(self):
         e = HypExpr.sinh(2.0) * HypExpr.sinh(1.0)
-        assert _coeffs(e) == pytest.approx({(Kind.COSH, 3.0): 0.5, (Kind.COSH, 1.0): -0.5})
+        assert term_map(e) == pytest.approx({(Kind.COSH, 3.0): 0.5, (Kind.COSH, 1.0): -0.5})
 
     def test_sinh_squared(self):
         # sinh^2(x) = (cosh(2x) - 1)/2
         e = HypExpr.sinh(1.0) * HypExpr.sinh(1.0)
-        assert _coeffs(e) == pytest.approx({(Kind.COSH, 2.0): 0.5, (Kind.CONST, 0.0): -0.5})
+        assert term_map(e) == pytest.approx({(Kind.COSH, 2.0): 0.5, (Kind.CONST, 0.0): -0.5})
 
     def test_diff_cycle(self):
         e = HypExpr.cosh(3.0, 2.0)
@@ -142,14 +124,14 @@ class TestAlgebra:
 
     @given(e1=hyp_exprs(), e2=hyp_exprs())
     def test_add_commutes(self, e1, e2):
-        a, b = _coeffs(e1 + e2), _coeffs(e2 + e1)
+        a, b = term_map(e1 + e2), term_map(e2 + e1)
         assert set(a) == set(b)
         for key in a:
             assert a[key] == pytest.approx(b[key], rel=1e-13, abs=1e-13)
 
     @given(e1=hyp_exprs(), e2=hyp_exprs())
     def test_mul_commutes(self, e1, e2):
-        a, b = _coeffs(e1 * e2), _coeffs(e2 * e1)
+        a, b = term_map(e1 * e2), term_map(e2 * e1)
         assert set(a) == set(b)
         for key in a:
             assert a[key] == pytest.approx(b[key], rel=1e-13, abs=1e-13)
@@ -265,10 +247,6 @@ def _reference_products(pairs):
     return _reference_canonical(raw)
 
 
-def _hex(terms):
-    return [(k, f.hex(), c.hex()) for k, f, c in terms]
-
-
 # negative frequencies, cell 0 (constant term; zero for sinh), one cell
 # holding two frequencies, and the cell next to it
 raw_freq_st = st.sampled_from(
@@ -289,7 +267,7 @@ class TestKernelMatchesReference:
             with pytest.raises(ValueError):
                 _canonical(raw)
             return
-        assert _hex(_canonical(raw)) == _hex(want)
+        assert hex_terms(_canonical(raw)) == hex_terms(want)
 
     @settings(max_examples=200)
     @given(
@@ -299,7 +277,7 @@ class TestKernelMatchesReference:
         )
     )
     def test_products(self, pairs):
-        assert _hex(_products(pairs)) == _hex(_reference_products([(a.terms, b.terms, w) for a, b, w in pairs]))
+        assert hex_terms(_products(pairs)) == hex_terms(_reference_products([(a.terms, b.terms, w) for a, b, w in pairs]))
 
     @given(e=hyp_exprs(), m=st.integers(1, 5))
     @example(e=HypExpr.cosh(0.5, 5e-324) + HypExpr.sinh(2.0), m=1)  # an underflow to 0 drops
@@ -312,19 +290,7 @@ class TestKernelMatchesReference:
                 for _ in range(m):
                     c *= f
                 raw.append((swap[k] if m % 2 else k, f, c))
-        assert _hex(e.diff(m).terms) == _hex(_canonical(raw))
-
-
-@st.composite
-def lattice_exprs(draw, g):
-    """A canonical expression on the lattice k*g, k <= 8: a constant or not, and at
-    each multiple drawn a cosh, a sinh or both, coefficients over six decades."""
-    coeff = st.builds(lambda c, e: c * 10.0 ** e, coeff_st, st.integers(-3, 3))
-    terms = [(Kind.CONST, 0.0, draw(coeff))] if draw(st.booleans()) else []
-    for k in sorted(draw(st.sets(st.integers(1, 8), max_size=8))):
-        for kind in sorted(draw(st.sets(st.sampled_from([Kind.COSH, Kind.SINH]), min_size=1))):
-            terms.append((kind, k * g, draw(coeff)))
-    return HypExpr.of(terms)
+        assert hex_terms(e.diff(m).terms) == hex_terms(_canonical(raw))
 
 
 def _on_lattice(terms, g, x):

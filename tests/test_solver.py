@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import itertools
 import json
@@ -46,16 +45,22 @@ from ararps.solver import (
     with_alpha,
 )
 from ararps.solver import _times
-
-ALPHAS = (0.25, 0.5, 0.75, 1.0)
-
-
-def _term_map(e: HypExpr) -> dict:
-    return {(k, round(f, 9)): c for k, f, c in e.terms}
+from strategies import (
+    ALPHAS,
+    WORK_CEILING,
+    dx_chain_spec,
+    ic_rank,
+    json_values,
+    quarter_terms,
+    shared_asts,
+    specs,
+    term_map,
+    work_bound,
+)
 
 
 def _assert_expr(e: HypExpr, expected: HypExpr, tol: float = 1e-12) -> None:
-    got, want = _term_map(e), _term_map(expected)
+    got, want = term_map(e), term_map(expected)
     assert set(got) == set(want), f"{e} vs {expected}"
     for key in want:
         assert got[key] == pytest.approx(want[key], abs=tol)
@@ -145,6 +150,43 @@ def _apply_reference(node, y: FracSeries) -> FracSeries:
     return FracSeries(y.alpha, tuple(_times(e, n * y.alpha + 1.0, 0, False) for n, e in enumerate(out)))
 
 
+def _abs_cosh(e: HypExpr) -> HypExpr:
+    """|c| cosh(fx) for each term c k(fx): at every x at least |e|, since |sinh| <= cosh."""
+    return HypExpr.of([(Kind.CONST if k is Kind.CONST else Kind.COSH, f, abs(c)) for k, f, c in e.terms])
+
+
+def _taylor_bound(node, a: list) -> list:
+    """``_taylor_reference`` on lists of |c| cosh(fx) terms, with |factors|: the product of two
+    such terms, (cosh(a+b) + cosh(a-b))/2, is one, and f^k cosh(fx) bounds d^k/dx^k of one, so
+    at each x entry n bounds the sum of |contributions| that entry n of the reference adds up."""
+    if isinstance(node, Solution):
+        return a
+    if isinstance(node, Const):
+        return [HypExpr.const(abs(node.value))] + [HypExpr()] * (len(a) - 1)
+    if isinstance(node, Add):
+        return [sum(es, HypExpr()) for es in zip(*(_taylor_bound(t, a) for t in node.terms))]
+    if isinstance(node, Scale):
+        return [e.scale(abs(node.factor)) for e in _taylor_bound(node.child, a)]
+    if isinstance(node, Mul):
+        left, right = _taylor_bound(node.left, a), _taylor_bound(node.right, a)
+        return [mul_coeff(left, right, n) for n in range(len(a))]
+    if isinstance(node, PowInt):
+        acc = base = _taylor_bound(node.child, a)
+        for _ in range(node.exponent - 1):
+            acc = [mul_coeff(acc, base, n) for n in range(len(a))]
+        return acc
+    return [HypExpr.of([(k, f, c * f ** node.order) for k, f, c in e.terms]) for e in _taylor_bound(node.child, a)]
+
+
+def _rounding_scale(spec: PdeSpec, coeffs) -> list:
+    """Per order, a cosh-only expression that bounds at each x the sum of |contributions| to
+    c_n: the scale of c_n's rounding, also where c_n itself cancels to almost nothing."""
+    k, alpha = spec.time_order, spec.alpha
+    a = [_abs_cosh(_times(c, n * alpha + 1.0, 0, True)) for n, c in enumerate(coeffs)]
+    out = _taylor_bound(spec.rhs, a[: len(a) - k])
+    return [_abs_cosh(c) for c in coeffs[:k]] + [_times(e, n * alpha + 1.0, 0, False) for n, e in enumerate(out)]
+
+
 def _series_reference(node, y: FracSeries) -> FracSeries:
     """The operator composed from the public c_n series primitives (weights in ``series_mul``)."""
     if isinstance(node, Solution):
@@ -165,42 +207,6 @@ def _series_reference(node, y: FracSeries) -> FracSeries:
     if isinstance(node, Dx):
         return series_spatial_diff(_series_reference(node.child, y), node.order)
     raise ValueError(f"ill-formed operator AST node: {node!r}")
-
-
-# quarter-integer coefficients and half-integer frequencies: every product
-# and every sum of frequencies is exact, so the engine's shared products and
-# squares must give the reference's bits
-_QUARTERS = st.integers(-8, 8).map(lambda k: k / 4)
-_NONZERO = _QUARTERS.filter(bool)
-_TERMS = st.one_of(
-    st.builds(lambda c: (Kind.CONST, 0.0, c), _NONZERO),
-    st.tuples(st.sampled_from((Kind.COSH, Kind.SINH)), st.sampled_from((0.5, 1.0, 1.5)), _NONZERO),
-)
-
-
-@st.composite
-def _shared_asts(draw):
-    """An AST over all seven node types whose children are drawn from the nodes
-    built so far, so subtrees are shared; "copy" adds an equal, distinct object.
-    The root adds up every node drawn, so each of them counts."""
-    pool = [Solution(), Const(draw(_QUARTERS))]
-    for _ in range(draw(st.integers(2, 6))):
-        pick = st.sampled_from(pool)
-        op = draw(st.sampled_from(("add", "scale", "mul", "pow", "dx", "copy")))
-        if op == "add":
-            node = Add(tuple(draw(st.lists(pick, min_size=1, max_size=3))))
-        elif op == "scale":
-            node = Scale(draw(_QUARTERS), draw(pick))
-        elif op == "mul":
-            node = Mul(draw(pick), draw(pick))
-        elif op == "pow":
-            node = PowInt(draw(st.integers(2, 3)), draw(pick))
-        elif op == "dx":
-            node = Dx(draw(st.integers(1, 3)), draw(pick))
-        else:
-            node = copy.deepcopy(draw(pick))
-        pool.append(node)
-    return Add(tuple(pool))
 
 
 def _generic_spec(rhs=None) -> PdeSpec:
@@ -374,10 +380,12 @@ class TestOnePassEngine:
         assert coeffs[1] == HypExpr.cosh(1.0, 2.0 ** 60)
 
     @settings(max_examples=150, deadline=None)
-    @given(ast=_shared_asts(), alpha=st.sampled_from(ALPHAS),
-           coeffs=st.lists(st.lists(_TERMS, min_size=1, max_size=3).map(HypExpr.of),
+    @given(ast=shared_asts(), alpha=st.sampled_from(ALPHAS),
+           coeffs=st.lists(st.lists(quarter_terms, min_size=1, max_size=3).map(HypExpr.of),
                            min_size=1, max_size=4))
     def test_random_shared_asts_match_reference(self, ast, alpha, coeffs):
+        # quarter-integer terms: every product and sum of frequencies is exact, so the
+        # engine's shared products and squares must give the reference's bits
         s = FracSeries(alpha, tuple(coeffs))
         try:
             want = _apply_reference(ast, s)
@@ -553,18 +561,23 @@ class TestModeClosure:
 
 
 def _shifted(e: HypExpr, x0: float) -> HypExpr:
-    """e(x + x0) in the basis: cosh(f(x+x0)) = cosh(f*x0) cosh(fx) + sinh(f*x0) sinh(fx),
-    sinh(f(x+x0)) = sinh(f*x0) cosh(fx) + cosh(f*x0) sinh(fx)."""
-    raw = []
-    for k, f, c in e.terms:
-        if k is Kind.CONST:
-            raw.append((k, f, c))
-            continue
-        ch, sh = c * math.cosh(f * x0), c * math.sinh(f * x0)
-        if k is Kind.SINH:
-            ch, sh = sh, ch
-        raw += [(Kind.COSH, f, ch), (Kind.SINH, f, sh)]
-    return HypExpr.of(raw)
+    """e(x + x0) in the basis, each coefficient the exact shift of e's terms rounded once:
+    cosh(f(x+x0)) = cosh(f*x0) cosh(fx) + sinh(f*x0) sinh(fx),
+    sinh(f(x+x0)) = sinh(f*x0) cosh(fx) + cosh(f*x0) sinh(fx).  Summed in doubles,
+    C cosh(f*x0) + S sinh(f*x0) cancels where C is near -S: 4.7e-3 of c_7(-1.1) = 5.7e8
+    on one drawn spec."""
+    sums = {}
+    with mpmath.workdps(40):
+        for k, f, c in e.terms:
+            if k is Kind.CONST:
+                sums[k, f] = mpmath.mpf(c)
+                continue
+            ch, sh = c * mpmath.cosh(mpmath.mpf(f) * x0), c * mpmath.sinh(mpmath.mpf(f) * x0)
+            if k is Kind.SINH:
+                ch, sh = sh, ch
+            sums[Kind.COSH, f] = sums.get((Kind.COSH, f), 0) + ch
+            sums[Kind.SINH, f] = sums.get((Kind.SINH, f), 0) + sh
+        return HypExpr.of([(k, f, float(v)) for (k, f), v in sums.items()])
 
 
 def _abs_terms(e: HypExpr, x: float) -> float:
@@ -577,8 +590,9 @@ def _lattice_spec() -> PdeSpec:
     return PdeSpec(1, 0.7, _generic_spec().rhs, ic)
 
 
-# the specs and x points of the relations below; example 4 at alpha = 1 stays out,
-# its deep coefficients drift from any relation (3.0e-10 at K = 12 under time scaling)
+# the fixed specs and x points of the relations below, which also run on specs() draws
+# (alpha below 1); example 4 at alpha = 1 stays out, its deep coefficients drift from
+# any relation (3.0e-10 at K = 12 under time scaling)
 _RELATION_SPECS = [
     pytest.param(with_alpha(builtin_example(1), 0.5), 12, id="ex1-alpha0.5"),
     pytest.param(with_alpha(builtin_example(2), 0.75), 12, id="ex2-alpha0.75"),
@@ -597,17 +611,31 @@ class TestTranslation:
     does not.
     """
 
-    X0 = 0.3
+    @staticmethod
+    def solves(spec, K, x0):
+        ic_b = spec.ic_b and _shifted(spec.ic_b, x0)
+        moved = PdeSpec(spec.time_order, spec.alpha, spec.rhs, _shifted(spec.ic_a, x0), ic_b)
+        return moved, solve(moved, K).series.coeffs, solve(spec, K).series.coeffs
 
     @pytest.mark.parametrize("spec, K", _RELATION_SPECS)
     def test_shifted_ics_give_shifted_coefficients(self, spec, K):
-        ic_b = spec.ic_b and _shifted(spec.ic_b, self.X0)
-        moved = PdeSpec(spec.time_order, spec.alpha, spec.rhs, _shifted(spec.ic_a, self.X0), ic_b)
-        got = solve(moved, K).series.coeffs
-        for n, c in enumerate(solve(spec, K).series.coeffs):
-            want = _shifted(c, self.X0)
+        _, got, coeffs = self.solves(spec, K, 0.3)
+        for n, c in enumerate(coeffs):
+            want = _shifted(c, 0.3)
             for x in _RELATION_XS:
                 assert abs(got[n](x) - want(x)) <= 1e-12 * _abs_terms(want, x), (n, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=specs(), x0=st.floats(-1.0, 1.0))
+    def test_on_drawn_specs(self, case, x0):
+        # each side rounds relative to its own contributions, got's at x and c_n's at x + x0,
+        # where a drawn coefficient may cancel to almost nothing
+        spec, K = case
+        moved, got, coeffs = self.solves(spec, K, x0)
+        for n, (c, m_got, m) in enumerate(zip(coeffs, _rounding_scale(moved, got), _rounding_scale(spec, coeffs))):
+            want = _shifted(c, x0)
+            for x in _RELATION_XS:
+                assert abs(got[n](x) - want(x)) <= 1e-12 * (m_got(x) + m(x + x0)), (n, x)
 
 
 def _reflected(e: HypExpr) -> HypExpr:
@@ -639,14 +667,22 @@ class TestReflection:
     derivative keeping the kind of its term fails.
     """
 
-    @pytest.mark.parametrize("spec, K", _RELATION_SPECS)
-    def test_reflected_ics_give_reflected_coefficients(self, spec, K):
+    def check(self, spec, K):
         ic_b = spec.ic_b and _reflected(spec.ic_b)
         moved = PdeSpec(spec.time_order, spec.alpha, _reflected_rhs(spec.rhs), _reflected(spec.ic_a), ic_b)
         got = solve(moved, K).series.coeffs
         for n, c in enumerate(solve(spec, K).series.coeffs):
             for x in _RELATION_XS:
                 assert abs(got[n](x) - c(-x)) <= 1e-12 * _abs_terms(c, x), (n, x)
+
+    @pytest.mark.parametrize("spec, K", _RELATION_SPECS)
+    def test_reflected_ics_give_reflected_coefficients(self, spec, K):
+        self.check(spec, K)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=specs())
+    def test_on_drawn_specs(self, case):
+        self.check(*case)
 
 
 class TestTimeScaling:
@@ -657,16 +693,32 @@ class TestTimeScaling:
     ``Scale`` step ignoring positive factors fails.
     """
 
+    @staticmethod
+    def solves(spec, K, lam):
+        k, a = spec.time_order, spec.alpha
+        ic_b = spec.ic_b and spec.ic_b.scale(lam ** a)
+        scaled = PdeSpec(k, a, Scale(lam ** (k * a), spec.rhs), spec.ic_a, ic_b)
+        return scaled, solve(scaled, K).series.coeffs, solve(spec, K).series.coeffs
+
     @pytest.mark.parametrize("lam", [1.7, 0.6])
     @pytest.mark.parametrize("spec, K", _RELATION_SPECS)
     def test_scaled_time_gives_scaled_coefficients(self, spec, K, lam):
-        k, a = spec.time_order, spec.alpha
-        ic_b = spec.ic_b and spec.ic_b.scale(lam ** a)
-        got = solve(PdeSpec(k, a, Scale(lam ** (k * a), spec.rhs), spec.ic_a, ic_b), K).series.coeffs
-        for n, c in enumerate(solve(spec, K).series.coeffs):
-            w = lam ** (n * a)
+        _, got, coeffs = self.solves(spec, K, lam)
+        for n, c in enumerate(coeffs):
+            w = lam ** (n * spec.alpha)
             for x in _RELATION_XS:
                 assert abs(got[n](x) - w * c(x)) <= 1e-12 * w * _abs_terms(c, x), (n, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=specs(), lam=st.floats(0.5, 2.0))
+    def test_on_drawn_specs(self, case, lam):
+        # relative to each side's contributions, as for translation
+        spec, K = case
+        scaled, got, coeffs = self.solves(spec, K, lam)
+        for n, (c, m_got, m) in enumerate(zip(coeffs, _rounding_scale(scaled, got), _rounding_scale(spec, coeffs))):
+            w = lam ** (n * spec.alpha)
+            for x in _RELATION_XS:
+                assert abs(got[n](x) - w * c(x)) <= 1e-12 * (m_got(x) + w * m(x)), (n, x)
 
 
 @pytest.fixture
@@ -742,6 +794,30 @@ class TestProductPath:
         ic = HypExpr.cosh(1e-6, 0.5) + HypExpr.sinh(1.0, -0.45) + HypExpr.cosh(2.0, 0.3)
         solve(PdeSpec(1, 0.7, _generic_spec().rhs, ic), 6)
         assert spans and not lists and not dense_products
+
+
+class TestDrawnSpecs:
+    """What ``specs()`` promises the relations above: every draw's work within the
+    ceiling, rank-1 draws that reach the dense kernel, and rank-2 draws that never do."""
+
+    def test_work_within_the_ceiling_and_both_kernels_reached(self, dense_products):
+        reached = []
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(case=specs())
+        def solve_draw(case):
+            spec, K = case
+            rank = ic_rank(spec)
+            dense_products.clear()
+            terms = sum(len(c.terms) for c in solve(spec, K).series.coeffs)
+            assert terms <= work_bound(rank, K) <= WORK_CEILING
+            if rank == 2:
+                assert not dense_products
+            else:
+                reached.append(bool(dense_products))
+
+        solve_draw()
+        assert any(reached)
 
 
 def _pde_residual_pointwise(series, alpha, x0, t0):
@@ -1026,20 +1102,11 @@ def _json_paths(obj, prefix=()):
 
 
 _EXAMPLE_2_DOC = json.loads(pde_spec_to_json(builtin_example(2)))
-_SPEC_KEYS = sorted({f.name for cls in ararps.solver._NODES.values() for f in fields(cls)}
-                    | {"node", "kind", "freq", "coeff"})
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.sampled_from([10 ** 400, -(10 ** 400)])
-    | st.floats() | st.text(max_size=4)
-    | st.sampled_from(sorted(ararps.solver._NODES) + sorted(ararps.solver._KIND_NAMES)),
-    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(_SPEC_KEYS), kids, max_size=4),
-    max_leaves=10,
-)
 
 
 class TestJsonSpecs:
     @settings(max_examples=300, deadline=None)
-    @given(path=st.sampled_from(list(_json_paths(_EXAMPLE_2_DOC))), value=_JSON_VALUES,
+    @given(path=st.sampled_from(list(_json_paths(_EXAMPLE_2_DOC))), value=json_values,
            errors=st.just((ValueError, ArithmeticError)))
     @example(path=("alpha",), value="0.5", errors=ValueError)
     @example(path=("time_order",), value=True, errors=ValueError)
@@ -1118,7 +1185,7 @@ class TestJsonSpecs:
 
     @pytest.mark.parametrize("depth,ok", [(100, True), (101, False), (800, False), (5000, False)])
     def test_ast_depth_limited(self, depth, ok):
-        spec = _dx_chain_spec(depth)
+        spec = dx_chain_spec(depth)
         if ok:
             assert pde_spec_from_json(spec).rhs is not None
         else:
@@ -1160,16 +1227,6 @@ class TestJsonSpecs:
         assert len(blocks) == 1
         spec = pde_spec_from_json(blocks[0])
         assert solve(spec, 2).order == 2
-
-
-def _dx_chain_spec(depth: int) -> str:
-    """Example 4's JSON with the rhs a chain of ``depth`` AST nodes (dx ... solution)."""
-    rhs = '{"node": "solution"}'
-    for _ in range(depth - 1):
-        rhs = '{"node": "dx", "order": 1, "child": ' + rhs + "}"
-    doc = json.loads(pde_spec_to_json(builtin_example(4)))
-    doc["rhs"] = "RHS"  # json.dumps itself recurses, so splice the chain in as text
-    return json.dumps(doc).replace('"RHS"', rhs)
 
 
 def _edited_spec(path, value, example_id=4) -> str:
