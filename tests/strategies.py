@@ -36,10 +36,15 @@ def dx_chain_spec(depth: int) -> str:
 
 def random_series(rng, alpha, K):
     """K + 1 coefficients of 0-3 terms each: frequencies 0.5, 1 and 2, coefficients in [-1, 1]."""
-    def term():
-        kind = rng.choice([Kind.CONST, Kind.COSH, Kind.SINH])
-        return kind, 0.0 if kind is Kind.CONST else rng.choice([0.5, 1.0, 2.0]), rng.uniform(-1.0, 1.0)
-    return FracSeries(alpha, tuple(HypExpr.of([term() for _ in range(rng.randint(0, 3))]) for _ in range(K + 1)))
+    coeffs = []
+    for _ in range(K + 1):
+        terms = []
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice([Kind.CONST, Kind.COSH, Kind.SINH])
+            freq = 0.0 if kind is Kind.CONST else rng.choice([0.5, 1.0, 2.0])
+            terms.append((kind, freq, rng.uniform(-1.0, 1.0)))
+        coeffs.append(HypExpr.of(terms))
+    return FracSeries(alpha, tuple(coeffs))
 
 
 _coeffs = st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-6)
@@ -50,8 +55,8 @@ def hyp_exprs(draw):
     terms = []
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from([Kind.CONST, Kind.COSH, Kind.SINH]))
-        terms.append((kind, 0.0 if kind is Kind.CONST else draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 1.0 / 3.0])),
-                      draw(_coeffs)))
+        freq = 0.0 if kind is Kind.CONST else draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 1.0 / 3.0]))
+        terms.append((kind, freq, draw(_coeffs)))
     return HypExpr.of(terms)
 
 
