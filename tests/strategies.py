@@ -47,7 +47,7 @@ def random_series(rng, alpha, K):
     return FracSeries(alpha, tuple(coeffs))
 
 
-_coeffs = st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-6)
+_hyp_coeffs = st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-6)
 
 
 @st.composite
@@ -56,7 +56,7 @@ def hyp_exprs(draw):
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from([Kind.CONST, Kind.COSH, Kind.SINH]))
         freq = 0.0 if kind is Kind.CONST else draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 1.0 / 3.0]))
-        terms.append((kind, freq, draw(_coeffs)))
+        terms.append((kind, freq, draw(_hyp_coeffs)))
     return HypExpr.of(terms)
 
 
@@ -64,7 +64,7 @@ def hyp_exprs(draw):
 def lattice_exprs(draw, g):
     """A canonical expression on the lattice k*g, k <= 8: a constant or not, and at
     each multiple drawn a cosh, a sinh or both, coefficients over six decades."""
-    coeff = st.builds(lambda c, e: c * 10.0 ** e, _coeffs, st.integers(-3, 3))
+    coeff = st.builds(lambda c, e: c * 10.0 ** e, _hyp_coeffs, st.integers(-3, 3))
     terms = [(Kind.CONST, 0.0, draw(coeff))] if draw(st.booleans()) else []
     for k in sorted(draw(st.sets(st.integers(1, 8), max_size=8))):
         for kind in sorted(draw(st.sets(st.sampled_from([Kind.COSH, Kind.SINH]), min_size=1))):
