@@ -60,9 +60,9 @@ def _products(pairs: Iterable[tuple[HypExpr, HypExpr, float]]) -> tuple[tuple[Ki
     h = w*(c1*c2)/2, where kind is cosh when k1 == k2 and sinh otherwise,
     and the sign is + for cosh*cosh and sinh*cosh, - for sinh*sinh and
     cosh*sinh.  Each contribution is ``w * (c1 * c2)``, halved for two
-    non-constant factors, so a product is bitwise commutative.  Nonzero
-    contributions are bucketed per kind by their exact frequency, in order;
-    ``_merge`` does the rest.
+    non-constant factors, so a product's coefficients are bitwise commutative; its frequencies
+    are not, as a cell keeps its first float.  Nonzero contributions are bucketed per kind by
+    exact frequency, in order; ``_merge`` does the rest.
     """
     cosh: defaultdict[float, list[float]] = defaultdict(list)
     sinh: defaultdict[float, list[float]] = defaultdict(list)
@@ -106,8 +106,8 @@ def _lattice(a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) -> float | None
     frequency is off the lattice.  b is a for a square.
 
     g is the smallest positive frequency of the operands.  Every frequency
-    must lie within one cell, 2**-30, of a multiple k*g, and g must span two
-    cells, so that the multiples keep distinct cells.  The sparse kernel pays
+    must lie in the cell of a multiple k*g, and g must span two cells, so
+    that the multiples keep distinct cells.  The sparse kernel pays
     per contribution, and there are sum_m |a[m]| * |b[n-m]| of them; the
     dense one pays per pair and output power, pairs * (2D + 1) for output
     degree D.  The dense one runs where the middle operands have
@@ -151,15 +151,15 @@ def _span(e: HypExpr) -> tuple[float, float]:
 def _laurent(e: HypExpr, g: float) -> tuple[list[float], list[float]] | None:
     """e as the list E[-D..D] on z = e^(gx), with the list reversed; None off the lattice.
 
-    E_0 is the constant and E_(+-k) = (C_k +- S_k)/2 for C_k cosh(kgx) + S_k
-    sinh(kgx).  The lists are kept on e for its last g, so a solve converts
-    each coefficient once, not once per pair.
+    A term is on it in the cell of its multiple k*g, as ``_merge`` tells frequencies
+    apart.  E_0 is the constant and E_(+-k) = (C_k +- S_k)/2 for C_k cosh(kgx) +
+    S_k sinh(kgx).  Kept on e for its last g: a solve converts each coefficient once.
     """
     memo = e.__dict__.get("_laurent")
     if memo is None or memo[0] != g:
         index = [round(f / g) for _, f, _ in e.terms]
         lists = None
-        if all(abs(f - k * g) <= 1.0 / _CELLS for (_, f, _), k in zip(e.terms, index)):
+        if all(round(f * _CELLS) == round(k * g * _CELLS) for (_, f, _), k in zip(e.terms, index)):
             d = max(index, default=0)
             lists = [0.0] * (2 * d + 1)
             for (kind, _, c), k in zip(e.terms, index):
@@ -180,9 +180,9 @@ def _laurent_products(
     With z = e^(gx), cosh(kgx) and sinh(kgx) are (z^k +- z^-k)/2, so a product
     is the convolution of the Laurent lists (``_laurent``).  Each output power
     p is one fsum over the pairs and every i of the contribution
-    ``w * (X_i * Y_(p-i))``, so a product is bitwise commutative; then
-    C_k = E_k + E_-k and S_k = E_k - E_-k at frequency k*g, and only exact
-    zeros are dropped.
+    ``w * (X_i * Y_(p-i))``, so a product is bitwise commutative, and so are
+    its frequencies: C_k = E_k + E_-k and S_k = E_k - E_-k at frequency k*g.
+    Only exact zeros are dropped.
     """
     lists = []
     for x, y, w in pairs:
@@ -220,16 +220,16 @@ def _merge(
 
     ``cosh`` and ``sinh`` map each exact frequency to its nonzero
     contributions, in the order the frequencies first got one.  Frequencies
-    merge when kind and cell ``round(freq * 2**30)`` agree, so the merge is
-    transitive and independent of term order; cosh in cell 0 is the constant
-    term, at frequency 0.0, and sinh there is zero.  Any other cell keeps its
-    first frequency, made positive; its coefficient is the ``math.fsum`` of
-    its contributions, correctly rounded whatever their order.  Equal
-    frequencies on either side of a cell edge stay two terms, which is
-    harmless pointwise.  Only exact zeros are dropped: a small coefficient on
-    a high frequency can still be large pointwise.  OverflowError: a
-    frequency at 2**994 or more has no finite cell, or a cell's sum is not
-    finite (fsum's overflow and inf - inf errors included).
+    merge when kind and cell ``round(freq * 2**30)`` agree, a transitive rule
+    that no term order changes; cosh in cell 0 is the constant term, at
+    frequency 0.0, and sinh there is zero.  Any other cell keeps its first
+    frequency, made positive, so its last bits follow the term order; its
+    coefficient is the ``math.fsum`` of its contributions, correctly rounded
+    whatever their order.  Equal frequencies on either side of a cell edge
+    stay two terms, harmless pointwise.  Only exact zeros are dropped: a small
+    coefficient on a high frequency can still be large pointwise.
+    OverflowError: a frequency at 2**994 or more has no finite cell, or a
+    cell's sum is not finite (fsum's overflow and inf - inf errors included).
     """
     cosh_cells: dict[int, tuple[float, list[float]]] = {}
     sinh_cells: dict[int, tuple[float, list[float]]] = {}

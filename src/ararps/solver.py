@@ -36,7 +36,7 @@ from typing import Any, Callable, Sequence, Union
 import mpmath
 
 from .fpseries import FracSeries, mul_coeff
-from .hypalg import HypExpr, Kind
+from .hypalg import HypExpr, Kind, _finite_nonzero
 from .special import _gamma40, _mittag_leffler, tpow
 
 __all__ = [
@@ -130,15 +130,15 @@ OperatorAst = Union[Solution, Const, Add, Scale, Mul, PowInt, Dx]
 
 
 def _times(c: HypExpr, x: float, s: int, inverse: bool) -> HypExpr:
-    """c * 2**s * Gamma(x), or / Gamma(x) if ``inverse``: by special's double shifted by s where
-    both are normal numbers, else each term's exact product with the 40-digit value, rounded once."""
+    """c * 2**s * Gamma(x), or / Gamma(x) if ``inverse``: by special's double shifted by s where both
+    are normal, else by each term's exact product with the 40-digit value, rounded once; still canonical."""
     g40, g, rg = _gamma40(x)
     d = rg if inverse else g
     if sys.float_info.min <= d < math.inf and -1021 <= math.frexp(d)[1] + s <= 1024:
         return c.scale(math.ldexp(d, s))
     with mpmath.workdps(40):
         f = mpmath.ldexp(1 / g40 if inverse else g40, s)
-    return HypExpr.of((k, fr, mpmath.fmul(v, f, exact=True)) for k, fr, v in c.terms)
+    return HypExpr(_finite_nonzero((k, fr, float(mpmath.fmul(v, f, exact=True))) for k, fr, v in c.terms))
 
 
 def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Callable[[int], HypExpr]:
@@ -206,7 +206,7 @@ def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Call
         if d := -round(lb / n) if abs(lb) > 256.0 else 0:
             e += d
             for out, _ in inner:
-                out[:] = [HypExpr.of((k, f, math.ldexp(v, m * d)) for k, f, v in b.terms)
+                out[:] = [HypExpr(_finite_nonzero((k, f, math.ldexp(v, m * d)) for k, f, v in b.terms))
                           for m, b in enumerate(out)]
         for out, nxt in inner:
             out.append(nxt(n))

@@ -121,6 +121,27 @@ def shared_asts(draw, steps=st.integers(2, 6), max_degree=math.inf):
     return Add(tuple(pool))
 
 
+@st.composite
+def homogeneous_asts(draw, p):
+    """A sum of one to three terms, each a Scale of an optional Dx of a product of p
+    factors Dx^m(y), m <= 2, built from Mul and PowInt: homogeneous of degree p in y."""
+
+    def product(q):
+        if q > 1 and draw(st.booleans()):
+            return PowInt(q, product(1))
+        if q > 1:
+            k = draw(st.integers(1, q - 1))
+            return Mul(product(k), product(q - k))
+        m = draw(st.integers(0, 2))
+        return Dx(m, Solution()) if m else Solution()
+
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        node, m = product(p), draw(st.integers(0, 2))
+        terms.append(Scale(draw(_nonzero), Dx(m, node) if m else node))
+    return Add(tuple(terms))
+
+
 # specs() keeps every draw's sum over n of the terms of c_n at most WORK_CEILING:
 # on operators of degree at most 3, a frequency of c_n sums at most m = 1 + 2n IC
 # frequencies, so c_n has at most 6m + 1 terms on rank 1 (multiples k*g, k <= 3m)

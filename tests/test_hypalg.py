@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ararps.hypalg import HypExpr, Kind, _basis, _canonical, _laurent_products, _lattice, _products
+from ararps.hypalg import HypExpr, Kind, _basis, _canonical, _laurent, _laurent_products, _lattice, _products
 from strategies import hex_terms, hyp_exprs, lattice_exprs, term_map
 
 
@@ -330,6 +330,14 @@ class TestLaurentKernel:
                 kernel([(big, big, 1.0)])
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+    def test_on_the_lattice_only_in_the_cell_of_a_multiple(self):
+        # 1.0 + 0.6 * 2**-30 is within 2**-30 of 2 * 0.5 but in the next cell, where the
+        # merge keeps it apart; 1.0 + 0.4 * 2**-30 is in the cell of 1.0
+        for eps, on in ((0.6, False), (0.4, True)):
+            e = HypExpr.of([(Kind.COSH, 0.5, 1.0), (Kind.COSH, 1.0 + eps * 2.0 ** -30, 1.0)])
+            assert len(e.terms) == 2
+            assert (_laurent(e, 0.5) is not None) == on
 
     def test_dense_only_on_one_lattice(self):
         # the same term counts on the lattice, off it, and on it with g below two cells

@@ -49,6 +49,7 @@ from strategies import (
     ALPHAS,
     WORK_CEILING,
     dx_chain_spec,
+    homogeneous_asts,
     ic_rank,
     json_values,
     quarter_terms,
@@ -312,6 +313,12 @@ class TestOnePassEngine:
         with mpmath.workdps(60):
             assert coeff == float(mpmath.ldexp(3 / mpmath.gamma(x), 300))
 
+    def test_forty_digit_conversion_drops_zeros_and_refuses_overflow(self):
+        # Gamma(200) is inf as a double, so both convert by the exact 40-digit product
+        assert _times(HypExpr.const(1e-300), 200.0, -2000, False).terms == ()
+        with pytest.raises(OverflowError, match="not finite"):
+            _times(HypExpr.const(1e300), 200.0, 0, False)
+
     def test_scale_shift_keeps_the_bits(self):
         # c_n = 2**(-300 n) puts a_n far from 1, so the engine shifts its scale at n = 1;
         # the whole-list reference, unshifted, stays in the normal range to K = 3
@@ -320,6 +327,14 @@ class TestOnePassEngine:
                        for n in range(4))
         y = FracSeries(0.5, coeffs)
         assert apply_operator(spec.rhs, y).coeffs == _apply_reference(spec.rhs, y).coeffs
+
+    def test_engine_never_calls_of(self, monkeypatch):
+        # example 4 at alpha = 0.5, K = 300 shifts its scale and converts by 40 digits:
+        # both map canonical terms exactly and in order, so none goes back through ``of``
+        spec, calls, real = with_alpha(builtin_example(4), 0.5), [], HypExpr.of
+        monkeypatch.setattr(HypExpr, "of", staticmethod(lambda raw: calls.append(raw) or real(raw)))
+        solve(spec, 300)
+        assert len(calls) == 0
 
     def test_coefficient_past_the_scaled_range_raises(self):
         # one integer scale per pass puts b_n within n/2 bits of 1: past n of about 2044 a
@@ -721,6 +736,47 @@ class TestTimeScaling:
                 assert abs(got[n](x) - w * c(x)) <= 1e-12 * (m_got(x) + w * m(x)), (n, x)
 
 
+def _swapped(node):
+    """The operator with every Mul's operands swapped and every Add's terms reversed."""
+    if isinstance(node, Mul):
+        return Mul(_swapped(node.right), _swapped(node.left))
+    if isinstance(node, Add):
+        return Add(tuple(map(_swapped, reversed(node.terms))))
+    if isinstance(node, (Scale, PowInt, Dx)):
+        return replace(node, child=_swapped(node.child))
+    return node  # Solution, Const
+
+
+class TestOperandOrder:
+    """Products commute and sums reorder, so the swapped operator gives the same c_n.
+
+    Not bit for bit: a cell keeps the first float frequency it meets, so the
+    last bits of its frequency follow the operand order, and an Add rounds its
+    partial sums in order.  A relation of the engine with itself that a
+    product kernel fails if it gets an asymmetric entry of the sign table
+    (cosh*sinh against sinh*cosh) wrong.
+    """
+
+    def check(self, spec, K):
+        # both sides sum the same |contributions|, so each side's scale is m: 1e-12 of both is 2e-12 m
+        got = solve(replace(spec, rhs=_swapped(spec.rhs)), K).series.coeffs
+        coeffs = solve(spec, K).series.coeffs
+        for n, m in enumerate(_rounding_scale(spec, coeffs)):
+            for x in _RELATION_XS:
+                assert abs(got[n](x) - coeffs[n](x)) <= 2e-12 * m(x), (n, x)
+
+    @pytest.mark.parametrize("spec, K", _RELATION_SPECS)
+    def test_swapped_operands_give_the_same_coefficients(self, spec, K):
+        self.check(spec, K)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=specs())
+    def test_on_drawn_specs(self, case):
+        # a drawn AST seldom multiplies unequal operands, so each draw gets y * y_x too
+        spec, K = case
+        self.check(replace(spec, rhs=Add((spec.rhs, Mul(Solution(), Dx(1, Solution()))))), K)
+
+
 @pytest.fixture
 def dense_products(monkeypatch):
     """The generators of the products that took the dense lattice kernel."""
@@ -758,6 +814,28 @@ class TestAmplitudeScaling:
             for x in _RELATION_XS:
                 assert abs(got[n](x) - w * c(x)) <= 1e-12 * w * _abs_terms(c, x), (n, x)
         assert bool(dense_products) == dense
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=specs(), rhs=st.integers(1, 3).flatmap(lambda p: st.tuples(st.just(p), homogeneous_asts(p))),
+           lam=st.floats(0.5, 2.0))
+    def test_on_drawn_specs(self, case, rhs, lam):
+        # with time order k, c_n scales by lam * rho**n, rho = lam**((p - 1)/k), and so does
+        # c_1 = ic_b; lam = 2**k (lam = 2 at k = 1) makes rho = 2**(p - 1), so c_n keeps its bits
+        (spec, K), (p, ast) = case, rhs
+        spec, k = replace(spec, rhs=ast), spec.time_order
+        coeffs = solve(spec, K).series.coeffs
+
+        def scaled(lam):
+            rho = lam ** ((p - 1) / k)
+            ic_b = spec.ic_b and spec.ic_b.scale(lam * rho)
+            got = solve(replace(spec, ic_a=spec.ic_a.scale(lam), ic_b=ic_b), K).series.coeffs
+            return zip(got, coeffs, [lam * rho ** n for n in range(K + 1)])
+
+        assert all(g == c.scale(w) for g, c, w in scaled(2.0 ** k))
+        # the scaled side sums w times this side's |contributions|: 1e-12 of both is 2e-12 w m
+        for n, ((g, c, w), m) in enumerate(zip(scaled(lam), _rounding_scale(spec, coeffs))):
+            for x in _RELATION_XS:
+                assert abs(g(x) - w * c(x)) <= 2e-12 * w * m(x), (n, x)
 
 
 class TestProductPath:
