@@ -13,8 +13,8 @@ The engine's product ``mul_coeff`` works on Taylor coefficients, where every
 pair of a Cauchy product has weight 1 (a square takes each pair (m, n-m),
 m < n-m, once at weight 2).  Each output coefficient is one call of one of
 two kernels in doubles, chosen by ``hypalg._lattice`` from the operands'
-sizes: the sparse ``hypalg._products``, whose frequency cells are one
-``math.fsum`` each, or, for large operands on one generator g, the dense
+sizes: the sparse ``hypalg._products``, whose frequency keys are one
+``math.fsum`` each, or, for large operands on a rank-1 basis g, the dense
 ``hypalg._laurent_products``, whose powers of z = e^(gx) are one
 ``math.fsum`` each.  Each sum is correctly rounded, independent of the order
 of the contributions, and the same on every platform.  Only ``series_mul``,
@@ -129,7 +129,7 @@ def mul_coeff(a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) -> HypExpr:
     g = _lattice(a, b, n)
     pairs = ([(a[m], a[n - m], 2.0 if 2 * m < n else 1.0) for m in range(n // 2 + 1)] if a is b
              else [(a[m], b[n - m], 1.0) for m in range(n + 1)])
-    return HypExpr(_products(pairs) if g is None else _laurent_products(pairs, g))
+    return _products(pairs) if g is None else _laurent_products(pairs, g)
 
 
 def series_mul(s1: FracSeries, s2: FracSeries) -> FracSeries:
@@ -137,8 +137,8 @@ def series_mul(s1: FracSeries, s2: FracSeries) -> FracSeries:
     ``conv_weight`` of the two orders, smaller first, and every product takes the sparse kernel."""
     _check_alpha(s1, s2)
     a, b, alpha = s1.coeffs, s2.coeffs, s1.alpha
-    return FracSeries(alpha, tuple(HypExpr(_products(
-        (a[m], b[n - m], conv_weight(alpha, min(m, n - m), max(m, n - m))) for m in range(n + 1)))
+    return FracSeries(alpha, tuple(_products(
+        (a[m], b[n - m], conv_weight(alpha, min(m, n - m), max(m, n - m))) for m in range(n + 1))
         for n in range(min(s1.order, s2.order) + 1)
     ))
 

@@ -1,24 +1,26 @@
-"""Closed algebra of finite combinations of 1, cosh(k*x) and sinh(k*x).
+"""Closed algebra of finite combinations of 1, cosh(f*x) and sinh(f*x).
 
 Every spatial coefficient produced by the solver lives in this basis, so
 addition, multiplication (via product-to-sum identities), differentiation
 and pointwise evaluation are exact up to floating-point rounding.
-Expressions are kept in a canonical form: terms sorted by (kind, frequency),
-contributions merged when their frequencies fall in the same cell
-``round(freq * 2**30)`` (cell 0 is the constant term), and terms whose
-coefficients sum to exactly zero dropped.  Nothing else is pruned.
+Frequencies are integer vectors over a Z-basis found where raw terms come in
+(``zbasis.find_basis``).  A term is keyed by its packed coordinates, so a
+product's key is the sum or difference of its factors' keys, the constant is
+key 0 and a key's sign is its sign fold; a key's float frequency is rounded
+once and kept on the basis.  Canonical form: one term per kind and key, key
+> 0 but the constant's, sorted, exact zeros dropped; nothing else is pruned.
+``HypExpr.terms`` shows the terms as ``(kind, freq, coeff)``.
 
-``HypExpr.of`` is the one checked entry for raw terms.  Products have two
-kernels, chosen by operand size (``_lattice``).  ``_products``, the sparse
-product-to-sum kernel, is the only code that buckets contributions (per kind,
-by exact frequency); ``_merge`` then folds signs, maps each frequency to its
-cell (naming one that has none) and fsums each cell.  ``_laurent_products``,
-the dense kernel, convolves the operands' Laurent lists on one generator g
-and needs no buckets: output power k is one fsum, at frequency k*g.
-``_canonical`` and ``+`` are products with 1; ``diff`` keeps every frequency,
-so it is canonical as it stands.
-``_basis`` is the one evaluator of 1, cosh and sinh at a point (inf past the
-double range), and ``_finite_sum`` the one sum that names a value that is not finite.
+``HypExpr.of`` is the one checked entry for raw terms.  A kernel's operands
+share one basis object, checked with ``is``; operands on different bases are
+first put on one (``_common``), at ingest scale.  Products have two kernels,
+chosen by operand size (``_lattice``): ``_products``, the sparse
+product-to-sum kernel, fsums each key's contributions once, and
+``_laurent_products``, the dense kernel, convolves Laurent lists on the
+generator g of a rank-1 basis, one fsum per power.  ``+`` is a product with
+1; ``diff`` keeps every key, so it is canonical as it stands.  ``_basis`` is
+the one evaluator of 1, cosh and sinh at a point (inf past the double range),
+and ``_finite_sum`` the one sum that names a value that is not finite.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+from .zbasis import EMPTY as _NONE, FREQ_MAX as _FREQ_MAX, KEY_HALF as _HALF, ZBasis, find_basis, pack, unpack
 
 __all__ = ["Kind", "HypExpr"]
 
-_CELLS = 2.0 ** 30  # frequency cells per unit; one cell is 2**-30 wide
 # ``_lattice`` runs the dense kernel where the sparse contributions reach
 # _DENSE_WORK times the dense work, pairs * (2D + 1): the crossover of the two
 # kernels on 271 recorded ``mul_coeff`` inputs (CPython 3.11, 2-core x86-64 VM)
@@ -53,141 +57,155 @@ _CONST, _COSH, _SINH = Kind.CONST, Kind.COSH, Kind.SINH
 _SWAP = {_COSH: _SINH, _SINH: _COSH}
 
 
-def _products(pairs: Iterable[tuple[HypExpr, HypExpr, float]]) -> tuple[tuple[Kind, float, float], ...]:
+def _common(exprs: list[HypExpr]) -> tuple[ZBasis, list[HypExpr]]:
+    """One basis for exprs, and exprs on it: theirs where they agree, else one found for all their generators."""
+    bases = {e.basis.gens: e.basis for e in exprs if e.basis.gens}
+    if len(bases) < 2:
+        return next(iter(bases.values()), _NONE), exprs
+    basis, coords = find_basis(tuple(sorted(set(chain.from_iterable(bases)))))
+    moved = lambda e, cols: _on(basis, [(k, [sum(map(mul, unpack(key, len(cols)), col)) for col in zip(*cols)], c)
+                                        for k, key, c in e.keyed])
+    return basis, [e if e.basis.gens in (basis.gens, ()) else moved(e, [coords[g] for g in e.basis.gens])
+                   for e in exprs]
+
+
+def _on(basis: ZBasis, raw: Iterable[tuple[Kind, Sequence[int], float]]) -> HypExpr:
+    """Canonical form of raw ``(kind, coordinates, coeff)`` terms on basis: keys packed and sign
+    folded (cosh is even, sinh odd; cosh at key 0 is the constant), then the product with 1."""
+    keyed, reach = [], 0
+    for k, v, c in raw:
+        key, reach = pack(v), max(reach, max(map(abs, v), default=0))
+        if key < 0:
+            key, c = -key, (-c if k is _SINH else c)
+        if key or k is not _SINH:
+            keyed.append((k if key else _CONST, key, c))
+    return _products(((HypExpr(tuple(keyed), basis, reach), _ONE, 1.0),))
+
+
+def _aligned(pairs: list) -> tuple[ZBasis, list]:
+    """The pairs' one basis, checked with ``is``, and the pairs; put on one by ``_common`` where they differ."""
+    basis = _NONE
+    for x, y, _ in pairs:
+        if x.basis is not basis and x.basis is not _NONE or y.basis is not basis and y.basis is not _NONE:
+            if basis is not _NONE or x.basis is not y.basis and x.basis is not _NONE and y.basis is not _NONE:
+                basis, flat = _common([e for p in pairs for e in p[:2]])
+                return basis, [(flat[2 * i], flat[2 * i + 1], p[2]) for i, p in enumerate(pairs)]
+            basis = y.basis if x.basis is _NONE else x.basis
+    return basis, pairs
+
+
+def _products(pairs: Iterable[tuple[HypExpr, HypExpr, float]]) -> HypExpr:
     """Canonical sum over ``(x, y, w)`` of the product x * y scaled by w.
 
     Product to sum: w * c1 k1(a) * c2 k2(b) = h kind(a+b) +- h kind(a-b) with
     h = w*(c1*c2)/2, where kind is cosh when k1 == k2 and sinh otherwise,
     and the sign is + for cosh*cosh and sinh*cosh, - for sinh*sinh and
-    cosh*sinh.  Each contribution is ``w * (c1 * c2)``, halved for two
-    non-constant factors, so a product's coefficients are bitwise commutative; its frequencies
-    are not, as a cell keeps its first float.  Nonzero contributions are bucketed per kind by
-    exact frequency, in order; ``_merge`` does the rest.
+    cosh*sinh.  A contribution, ``w * (c1 * c2)``, or ``(w/2) * (c1 * c2)`` for
+    two non-constant factors, goes to the bucket of its final key, a - b < 0
+    read as b - a with the sign of sinh folded in.  Each bucket is one fsum, so
+    a product is bitwise commutative.  ValueError, before any work, where a
+    coordinate could leave the key range.
     """
-    cosh: defaultdict[float, list[float]] = defaultdict(list)
-    sinh: defaultdict[float, list[float]] = defaultdict(list)
+    basis, pairs = _aligned(list(pairs))
+    reach = 0
+    if basis.rank > 1:
+        reach = max((x.reach + y.reach for x, y, _ in pairs), default=0)
+        if reach >= _HALF:
+            raise ValueError(f"a product's frequency coordinates reach {reach}, past the key range of {_HALF - 1}")
+    cosh: defaultdict[int, list[float]] = defaultdict(list)
+    sinh: defaultdict[int, list[float]] = defaultdict(list)
     for x, y, w in pairs:
-        c2 = None
-        cosh2, sinh2 = [], []
-        for k, f, c in y.terms:
-            if k is _COSH:
-                cosh2.append((f, c))
-            elif k is _SINH:
-                sinh2.append((f, c))
-            else:
-                c2 = c
-        for k1, f1, c1 in x.terms:
-            # a constant is cosh at f1 = 0.0: its product with c2 lands in cosh[0.0]
-            same, other = (sinh, cosh) if k1 is _SINH else (cosh, sinh)
-            if c2 is not None and (v := w * (c1 * c2)):
-                same[f1].append(v)
+        (c2, cosh2, sinh2), hw = y.__dict__.get("_parts") or y._split(), 0.5 * w
+        for k1, f1, c1 in x.keyed:
+            # a constant is cosh at key 0: its product with c2 lands in cosh[0]
+            same = sinh if k1 is _SINH else cosh
+            if c2 is not None:
+                same[f1].append(w * (c1 * c2))
             if k1 is _CONST:  # unhalved: no sum and difference frequencies
                 for f, c in cosh2:
-                    if v := w * (c1 * c):
-                        cosh[f].append(v)
+                    cosh[f].append(w * (c1 * c))
                 for f, c in sinh2:
-                    if v := w * (c1 * c):
-                        sinh[f].append(v)
-                continue
-            for f, c in cosh2:
-                if h := 0.5 * (w * (c1 * c)):
-                    same[f1 + f].append(h)
-                    same[f1 - f].append(h)
-            for f, c in sinh2:
-                if h := 0.5 * (w * (c1 * c)):
-                    other[f1 + f].append(h)
-                    other[f1 - f].append(-h)
-    return _merge(cosh, sinh)
+                    sinh[f].append(w * (c1 * c))
+            elif k1 is _COSH:
+                for f, c in cosh2:
+                    h = hw * (c1 * c)
+                    cosh[f1 + f].append(h)
+                    cosh[abs(f1 - f)].append(h)
+                for f, c in sinh2:
+                    h = hw * (c1 * c)
+                    sinh[f1 + f].append(h)
+                    if f1 != f:
+                        sinh[abs(f1 - f)].append(-h if f1 > f else h)
+            else:
+                for f, c in cosh2:
+                    h = hw * (c1 * c)
+                    sinh[f1 + f].append(h)
+                    if f1 != f:
+                        sinh[abs(f1 - f)].append(h if f1 > f else -h)
+                for f, c in sinh2:
+                    h = hw * (c1 * c)
+                    cosh[f1 + f].append(h)
+                    cosh[abs(f1 - f)].append(-h)
+    const = cosh.pop(0, None)
+    ck, sk = sorted(cosh), sorted(sinh)
+    terms = [] if const is None else [(_CONST, 0, _fsum(const))]
+    terms += [(_COSH, f, _fsum(cosh[f])) for f in ck] + [(_SINH, f, _fsum(sinh[f])) for f in sk]
+    if basis.rank < 2:  # the largest key
+        reach = max(ck[-1] if ck else 0, sk[-1] if sk else 0)
+    return HypExpr(_finite_nonzero(terms, basis), basis, reach)
 
 
 def _lattice(a: Sequence[HypExpr], b: Sequence[HypExpr], n: int) -> float | None:
-    """The generator g on which ``_laurent_products`` multiplies the pairs
-    (a[m], b[n-m]), m = 0..n, or None where ``_products`` is cheaper or a
-    frequency is off the lattice.  b is a for a square.
-
-    g is the smallest positive frequency of the operands.  Every frequency
-    must lie in the cell of a multiple k*g, and g must span two cells, so
-    that the multiples keep distinct cells.  The sparse kernel pays
-    per contribution, and there are sum_m |a[m]| * |b[n-m]| of them; the
-    dense one pays per pair and output power, pairs * (2D + 1) for output
-    degree D.  The dense one runs where the middle operands have
-    ``_DENSE_WORK`` terms or more, the contributions reach ``_DENSE_WORK``
-    times its work, and 2D + 1 is at most ``_DENSE_SPAN`` times the widest
-    operand, so that a sparse lattice never builds lists much longer than its
-    operands.  The first test costs the same at any n: examples 1-4 stop there.
-    """
+    """The generator g on which ``_laurent_products`` multiplies the pairs (a[m], b[n-m]),
+    m = 0..n (b is a for a square), or None where ``_products`` is cheaper or the operands
+    are not on one rank-1 basis.  The sparse kernel pays per contribution, sum_m |a[m]| *
+    |b[n-m]|; the dense one per pair and output power, pairs * (2D + 1), D the largest sum
+    of two reaches.  The dense one runs where the middle operands have ``_DENSE_WORK``
+    terms or more, the contributions reach ``_DENSE_WORK`` times its work and 2D + 1 is
+    at most ``_DENSE_SPAN`` times the widest operand.  Examples 1-4 stop at the first test."""
     h = n // 2
-    if min(len(a[h].terms), len(a[n - h].terms), len(b[h].terms), len(b[n - h].terms)) < _DENSE_WORK:
+    if min(len(a[h].keyed), len(a[n - h].keyed), len(b[h].keyed), len(b[n - h].keyed)) < _DENSE_WORK:
         return None
-    xs = a[: n + 1]
+    basis, xs = a[h].basis, a[: n + 1]
     ys = xs if b is a else b[: n + 1]
-    nx = [len(x.terms) for x in xs]
-    ny = nx if b is a else [len(y.terms) for y in ys]
-    lo_x, hi_x = zip(*map(_span, xs))
-    lo_y, hi_y = (lo_x, hi_x) if b is a else zip(*map(_span, ys))
-    g = min(filter(None, chain(lo_x, lo_y)), default=0.0)
-    if g < 2.0 / _CELLS:
+    if basis.rank != 1 or any(e.basis is not basis and e.basis is not _NONE for e in chain(xs, ys)):
         return None
-    width = 2 * max(round(hx / g) + round(hy / g) for hx, hy in zip(hi_x, reversed(hi_y))) + 1
-    if width > _DENSE_SPAN * max(max(nx), max(ny)):
+    nx = [len(x.keyed) for x in xs]
+    ny = nx if b is a else [len(y.keyed) for y in ys]
+    width = 2 * max(x.reach + y.reach for x, y in zip(xs, reversed(ys))) + 1
+    if width > _DENSE_SPAN * max(max(nx), max(ny)) or sum(map(mul, nx, reversed(ny))) < _DENSE_WORK * len(nx) * width:
         return None
-    if sum(map(mul, nx, reversed(ny))) < _DENSE_WORK * len(nx) * width:
-        return None
-    if any(_laurent(e, g) is None for e in chain(xs, ys)):
-        return None
-    return g
+    return basis.gens[0]
 
 
-def _span(e: HypExpr) -> tuple[float, float]:
-    """The smallest and largest positive frequency of e, (0.0, 0.0) if it has none; kept on e."""
-    span = e.__dict__.get("_span")
-    if span is None:
-        fs = [f for _, f, _ in e.terms if f]
-        span = (min(fs), max(fs)) if fs else (0.0, 0.0)
-        object.__setattr__(e, "_span", span)  # a cache, outside the compared fields
-    return span
-
-
-def _laurent(e: HypExpr, g: float) -> tuple[list[float], list[float]] | None:
-    """e as the list E[-D..D] on z = e^(gx), with the list reversed; None off the lattice.
-
-    A term is on it in the cell of its multiple k*g, as ``_merge`` tells frequencies
-    apart.  E_0 is the constant and E_(+-k) = (C_k +- S_k)/2 for C_k cosh(kgx) +
-    S_k sinh(kgx).  Kept on e for its last g: a solve converts each coefficient once.
-    """
+def _laurent(e: HypExpr) -> tuple[list[float], list[float]]:
+    """e as the list E[-D..D] on z = e^(gx), D its reach, and the list reversed: E_0 is the
+    constant, E_(+-k) = (C_k +- S_k)/2 for C_k cosh(kgx) + S_k sinh(kgx).  Kept on e."""
     memo = e.__dict__.get("_laurent")
-    if memo is None or memo[0] != g:
-        index = [round(f / g) for _, f, _ in e.terms]
-        lists = None
-        if all(round(f * _CELLS) == round(k * g * _CELLS) for (_, f, _), k in zip(e.terms, index)):
-            d = max(index, default=0)
-            lists = [0.0] * (2 * d + 1)
-            for (kind, _, c), k in zip(e.terms, index):
-                lists[d + k] += 0.5 * c if k else c
-                if kind is not _CONST:
-                    lists[d - k] += 0.5 * c if kind is _COSH else -0.5 * c
-            lists = (lists, lists[::-1])
-        memo = (g, lists)
-        object.__setattr__(e, "_laurent", memo)  # a cache, outside the compared fields
-    return memo[1]
+    if memo is None:
+        d = e.reach
+        lists = [0.0] * (2 * d + 1)
+        for kind, k, c in e.keyed:
+            lists[d + k] += 0.5 * c if k else c
+            if kind is not _CONST:
+                lists[d - k] += 0.5 * c if kind is _COSH else -0.5 * c
+        memo = e.__dict__["_laurent"] = (lists, lists[::-1])  # a cache, outside the compared view
+    return memo
 
 
-def _laurent_products(
-    pairs: Iterable[tuple[HypExpr, HypExpr, float]], g: float
-) -> tuple[tuple[Kind, float, float], ...]:
-    """Canonical sum over ``(x, y, w)`` of w * x * y, on the lattice that ``_lattice`` found.
+def _laurent_products(pairs: Iterable[tuple[HypExpr, HypExpr, float]], g: float) -> HypExpr:
+    """Canonical sum over ``(x, y, w)`` of w * x * y, on the rank-1 basis of generator g.
 
     With z = e^(gx), cosh(kgx) and sinh(kgx) are (z^k +- z^-k)/2, so a product
-    is the convolution of the Laurent lists (``_laurent``).  Each output power
-    p is one fsum over the pairs and every i of the contribution
-    ``w * (X_i * Y_(p-i))``, so a product is bitwise commutative, and so are
-    its frequencies: C_k = E_k + E_-k and S_k = E_k - E_-k at frequency k*g.
-    Only exact zeros are dropped.
+    is the convolution of the Laurent lists (``_laurent``).  Output power p is
+    one fsum over the pairs and every i of ``w * (X_i * Y_(p-i))``, so a product
+    is bitwise commutative; C_k = E_k + E_-k and S_k = E_k - E_-k at key k.
     """
+    basis, pairs = _aligned(list(pairs))
     lists = []
     for x, y, w in pairs:
-        if x.terms and y.terms:
-            (a, _), (_, rb) = _laurent(x, g), _laurent(y, g)
+        if x.keyed and y.keyed:
+            (a, _), (_, rb) = _laurent(x), _laurent(y)
             lists.append((a, rb, len(a) // 2, len(rb) // 2, w))
     top = max((da + db for _, _, da, db, _ in lists), default=0)
     out = []
@@ -199,64 +217,10 @@ def _laurent_products(
                 prods = map(mul, a[lo + da : hi + da], rb[lo - p + db : hi - p + db])
                 parts.append(prods if w == 1.0 else map(mul, repeat(w), prods))
         out.append(_fsum(chain.from_iterable(parts)))
-    terms = [(_CONST, 0.0, out[top])]
-    terms += [(_COSH, k * g, out[top + k] + out[top - k]) for k in range(1, top + 1)]
-    terms += [(_SINH, k * g, out[top + k] - out[top - k]) for k in range(1, top + 1)]
-    return _finite_nonzero(terms)
-
-
-def _canonical(raw: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, float, float], ...]:
-    """Canonical form of raw terms: their product with 1, where each contribution is ``c``."""
-    raw = tuple(raw)
-    if any(k is _CONST and c and round(f * _CELLS) for k, f, c in raw):
-        raise ValueError("CONST term with nonzero frequency")
-    return _products(((HypExpr(raw), _ONE, 1.0),))  # the raw terms, wrapped unchecked
-
-
-def _merge(
-    cosh: dict[float, list[float]], sinh: dict[float, list[float]]
-) -> tuple[tuple[Kind, float, float], ...]:
-    """Fold signs, merge frequencies by cell, sum each cell once, drop exact zeros, sort.
-
-    ``cosh`` and ``sinh`` map each exact frequency to its nonzero
-    contributions, in the order the frequencies first got one.  Frequencies
-    merge when kind and cell ``round(freq * 2**30)`` agree, a transitive rule
-    that no term order changes; cosh in cell 0 is the constant term, at
-    frequency 0.0, and sinh there is zero.  Any other cell keeps its first
-    frequency, made positive, so its last bits follow the term order; its
-    coefficient is the ``math.fsum`` of its contributions, correctly rounded
-    whatever their order.  Equal frequencies on either side of a cell edge
-    stay two terms, harmless pointwise.  Only exact zeros are dropped: a small
-    coefficient on a high frequency can still be large pointwise.
-    OverflowError: a frequency at 2**994 or more has no finite cell, or a
-    cell's sum is not finite (fsum's overflow and inf - inf errors included).
-    """
-    cosh_cells: dict[int, tuple[float, list[float]]] = {}
-    sinh_cells: dict[int, tuple[float, list[float]]] = {}
-    for out, freqs, odd in ((cosh_cells, cosh, False), (sinh_cells, sinh, True)):
-        for f, vs in freqs.items():
-            try:
-                cell = round(f * _CELLS)
-            except OverflowError:
-                raise OverflowError(f"frequency {f!r} of a product has no finite cell") from None
-            if cell < 0:
-                # cosh is even, sinh is odd
-                cell, f = -cell, -f
-                if odd:
-                    vs = [-v for v in vs]
-            if not cell and odd:
-                continue
-            got = out.get(cell)
-            if got is None:
-                out[cell] = (f, vs)
-            else:
-                got[1].extend(vs)
-    buckets = []
-    for kind, out in ((_COSH, cosh_cells), (_SINH, sinh_cells)):
-        for cell in sorted(out):  # cells are ordered like their frequencies
-            f, vs = out[cell]
-            buckets.append((kind, f, vs) if cell else (_CONST, 0.0, vs))
-    return _finite_nonzero((k, f, _fsum(vs)) for k, f, vs in buckets)
+    terms = [(_CONST, 0, out[top])]
+    terms += [(_COSH, k, out[top + k] + out[top - k]) for k in range(1, top + 1)]
+    terms += [(_SINH, k, out[top + k] - out[top - k]) for k in range(1, top + 1)]
+    return HypExpr(_finite_nonzero(terms, basis), basis, top)
 
 
 def _fsum(vs: Iterable[float]) -> float:
@@ -286,42 +250,75 @@ def _basis(kind: Kind, freq: float, x: float) -> float:
         return math.inf
 
 
-def _finite_nonzero(terms: Iterable[tuple[Kind, float, float]]) -> tuple[tuple[Kind, float, float], ...]:
-    """The terms without exact zeros; OverflowError if a coefficient is not finite."""
+def _finite_nonzero(terms: Iterable[tuple[Kind, int, float]], basis: ZBasis) -> tuple[tuple[Kind, int, float], ...]:
+    """The keyed terms without exact zeros; OverflowError, naming the term, if a coefficient is not finite."""
     kept = []
-    for k, f, c in terms:
+    for k, key, c in terms:
         if not math.isfinite(c):
-            raise OverflowError(f"coefficient of {k.name.lower()}({f:g}*x) is not finite")
+            raise OverflowError(f"coefficient of {k.name.lower()}({abs(basis.freq(key)):g}*x) is not finite")
         if c:
-            kept.append((k, f, c))
+            kept.append((k, key, c))
     return tuple(kept)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class HypExpr:
-    """Immutable canonical combination of CONST/COSH/SINH terms.
+    """Immutable canonical combination of CONST/COSH/SINH terms over a Z-basis.
 
-    ``HypExpr(terms)`` takes canonical terms unchecked; ``of`` is the checked gate.
+    ``keyed`` holds ``(kind, key, coeff)`` sorted by kind and key, and ``reach``
+    bounds every coordinate's size.  ``HypExpr(keyed, basis, reach)`` takes
+    canonical terms unchecked; ``of`` is the checked gate.  Expressions compare
+    and hash by ``terms``.
     """
 
-    terms: tuple[tuple[Kind, float, float], ...] = ()
+    keyed: tuple[tuple[Kind, int, float], ...] = ()
+    basis: ZBasis = _NONE
+    reach: int = 0
+
+    def __init__(self, keyed: tuple = (), basis: ZBasis = _NONE, reach: int = 0):
+        d = self.__dict__  # set once, here, past the frozen __setattr__
+        d["keyed"], d["basis"], d["reach"] = keyed, basis, reach
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Kind, float, float], ...]:
+        """The terms as ``(kind, freq, coeff)``, sorted, freq > 0 but the constant's 0.0."""
+        out, freqs, freq = [], self.basis.freqs, self.basis.freq
+        for k, key, c in self.keyed:
+            f = freqs.get(key) or freq(key)
+            out.append((k, f, c) if f >= 0.0 else (k, -f, -c if k is _SINH else c))
+        return tuple(out) if self.basis.rank < 2 else tuple(sorted(out, key=itemgetter(0, 1)))
+
+    def _split(self) -> tuple[float | None, list[tuple[int, float]], list[tuple[int, float]]]:
+        """The constant (None if there is none) and the cosh and sinh ``(key, coeff)`` lists; kept as ``_parts``."""
+        kinds: dict[Kind, list] = {_CONST: [], _COSH: [], _SINH: []}
+        for k, key, c in self.keyed:
+            kinds[k].append((key, c))
+        parts = self.__dict__["_parts"] = (kinds[_CONST][0][1] if kinds[_CONST] else None), kinds[_COSH], kinds[_SINH]
+        return parts
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HypExpr) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
 
     @staticmethod
     def of(raw: Iterable[tuple[int, float, float]]) -> "HypExpr":
-        """Canonical form of raw terms; the one check of kinds and frequencies.
-
-        A kind is read as ``Kind(k)``, so it is 0, 1, 2 or a ``Kind``.  A
-        frequency nonzero but at most 2**-31 (cell 0 would read it as 0) or
-        without a finite cell (2**994 or more, or NaN) raises ValueError,
-        whatever the kind; ``_canonical`` then refuses a CONST term off cell 0.
-        """
+        """Canonical form of raw terms over a basis of their frequencies; the one check of kinds
+        and frequencies.  A kind is read as ``Kind(k)``, so it is 0, 1, 2 or a ``Kind``.  A
+        frequency not below 2**994 in size (NaN included) raises ValueError, and so does a
+        nonzero CONST term at a frequency other than 0.  Zero coefficients add no frequency."""
         terms = [(Kind(k), float(f), float(c)) for k, f, c in raw]
-        for _, f, _ in terms:
-            if 0.0 < abs(f) <= 2.0 ** -31:
-                raise ValueError(f"frequency {f!r} is nonzero but at most 2**-31")
-            if not math.isfinite(f * _CELLS):
-                raise ValueError(f"frequency {f!r} has no finite cell: |freq| must be below 2**994")
-        return HypExpr(_canonical(terms))
+        for k, f, c in terms:
+            if not abs(f) < _FREQ_MAX:
+                raise ValueError(f"frequency {f!r} is not below 2**994 in size")
+            if k is _CONST and f and c:
+                raise ValueError("CONST term with nonzero frequency")
+        terms = [t for t in terms if t[2]]
+        basis, coords = find_basis(tuple(sorted({abs(f) for _, f, _ in terms if f})))
+        zero = [0] * len(basis.gens)
+        return _on(basis, [(k, [-v for v in coords[-f]] if f < 0 else coords[f] if f else zero, c)
+                           for k, f, c in terms])
 
     @staticmethod
     def zero() -> "HypExpr":
@@ -339,68 +336,68 @@ class HypExpr:
     def sinh(freq: float, coeff: float = 1.0) -> "HypExpr":
         return HypExpr.of([(_SINH, freq, coeff)])
 
-    # -- ring operations -------------------------------------------------
+    @staticmethod
+    def sum(exprs: Iterable["HypExpr"]) -> "HypExpr":
+        """The sum, merged once: each key's coefficient is one fsum of all its terms."""
+        return _products([(e, _ONE, 1.0) for e in exprs])
 
     def __add__(self, other: "HypExpr") -> "HypExpr":
-        return HypExpr(_products(((self, _ONE, 1.0), (other, _ONE, 1.0))))
+        return HypExpr.sum((self, other))
 
     def __sub__(self, other: "HypExpr") -> "HypExpr":
         return self + (-other)
 
     def __neg__(self) -> "HypExpr":
-        return HypExpr(tuple((k, f, -c) for k, f, c in self.terms))
+        return self.scale(-1.0)
 
     def scale(self, factor: float) -> "HypExpr":
-        return HypExpr(_finite_nonzero((k, f, c * factor) for k, f, c in self.terms))
+        keyed = _finite_nonzero(((k, key, c * factor) for k, key, c in self.keyed), self.basis)
+        return HypExpr(keyed, self.basis, self.reach)
+
+    def map_coeffs(self, fn: Callable[[float], float]) -> "HypExpr":
+        """Each coefficient c as fn(c), on the same terms: exact zeros dropped, OverflowError if one is not finite."""
+        return HypExpr(_finite_nonzero(((k, key, fn(c)) for k, key, c in self.keyed), self.basis), self.basis, self.reach)
 
     def __mul__(self, other: "HypExpr") -> "HypExpr":
-        return HypExpr(_products(((self, other, 1.0),)))
+        return _products(((self, other, 1.0),))
 
     def diff(self, m: int = 1) -> "HypExpr":
-        """The m-th x-derivative; it keeps every frequency, so it is canonical as it stands."""
+        """The m-th x-derivative; it keeps every key, so it is canonical as it stands."""
         if m < 1:
             raise ValueError("diff order must be >= 1")
-        out = []
-        for kind, freq, coeff in self.terms:
+        out, freqs, freq = [], self.basis.freqs, self.basis.freq
+        for kind, key, coeff in self.keyed:
             if kind is not _CONST:  # constants differentiate to zero
+                f = freqs.get(key) or freq(key)
                 for _ in range(m):
-                    coeff *= freq
-                out.append((_SWAP[kind] if m % 2 else kind, freq, coeff))
+                    coeff *= f
+                out.append((_SWAP[kind] if m % 2 else kind, key, coeff))
         out.sort(key=itemgetter(0))  # stable: an odd m swapped the cosh and sinh blocks
-        return HypExpr(_finite_nonzero(out))
-
-    # -- queries ---------------------------------------------------------
+        return HypExpr(_finite_nonzero(out, self.basis), self.basis, self.reach)
 
     def __call__(self, x: float) -> float:
         """The fsum of the terms at x; OverflowError naming x if it is not finite."""
         return _finite_sum((c * _basis(k, f, x) for k, f, c in self.terms), f"value at x={x!r}")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keyed
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for _, _, c in self.terms), default=0.0)
+        return max((abs(c) for _, _, c in self.keyed), default=0.0)
 
     def render(self) -> str:
         """Text form like ``-0.666667 + 0.666667*cosh(0.5*x)``."""
-        if not self.terms:
-            return "0"
         parts: list[str] = []
         for kind, freq, coeff in self.terms:
-            if kind is _CONST:
-                body = f"{abs(coeff):.6g}"
-            else:
-                name = "cosh" if kind is _COSH else "sinh"
-                arg = "x" if freq == 1.0 else f"{freq:.6g}*x"
-                body = f"{abs(coeff):.6g}*{name}({arg})"
-            if not parts:
-                parts.append(body if coeff >= 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff >= 0 else f"- {body}")
-        return " ".join(parts)
+            body = f"{abs(coeff):.6g}"
+            if kind is not _CONST:
+                body += f"*{'cosh' if kind is _COSH else 'sinh'}({'x' if freq == 1.0 else f'{freq:.6g}*x'})"
+            sign = "-" if coeff < 0 else "" if not parts else "+"
+            parts.append(f"{sign} {body}" if parts else sign + body)
+        return " ".join(parts) or "0"
 
     def __str__(self) -> str:
         return self.render()
 
 
-_ONE = HypExpr(((_CONST, 0.0, 1.0),))
+_ONE = HypExpr(((_CONST, 0, 1.0),))

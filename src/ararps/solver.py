@@ -29,14 +29,13 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from functools import partial, reduce
-from operator import add
+from functools import partial
 from typing import Any, Callable, Sequence, Union
 
 import mpmath
 
 from .fpseries import FracSeries, mul_coeff
-from .hypalg import HypExpr, Kind, _finite_nonzero
+from .hypalg import HypExpr, Kind, _common
 from .special import _gamma40, _mittag_leffler, tpow
 
 __all__ = [
@@ -138,7 +137,7 @@ def _times(c: HypExpr, x: float, s: int, inverse: bool) -> HypExpr:
         return c.scale(math.ldexp(d, s))
     with mpmath.workdps(40):
         f = mpmath.ldexp(1 / g40 if inverse else g40, s)
-    return HypExpr(_finite_nonzero((k, fr, float(mpmath.fmul(v, f, exact=True))) for k, fr, v in c.terms))
+    return c.map_coeffs(lambda v: float(mpmath.fmul(v, f, exact=True)))
 
 
 def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Callable[[int], HypExpr]:
@@ -175,7 +174,7 @@ def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Call
             out = step((Const, v), lambda n, v=v: HypExpr.const(v) if n == 0 else HypExpr())
         elif isinstance(node, Add):
             ts = [lower(t) for t in node.terms]
-            out = step((Add, *map(id, ts)), lambda n, ts=ts: reduce(add, [t[n] for t in ts]))
+            out = step((Add, *map(id, ts)), lambda n, ts=ts: HypExpr.sum([t[n] for t in ts]))
         elif isinstance(node, Scale):
             a, f = lower(node.child), node.factor
             out = step((Scale, f, id(a)), lambda n, a=a, f=f: a[n].scale(f))
@@ -206,8 +205,7 @@ def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Call
         if d := -round(lb / n) if abs(lb) > 256.0 else 0:
             e += d
             for out, _ in inner:
-                out[:] = [HypExpr(_finite_nonzero((k, f, math.ldexp(v, m * d)) for k, f, v in b.terms))
-                          for m, b in enumerate(out)]
+                out[:] = [b.map_coeffs(lambda v, s=m * d: math.ldexp(v, s)) for m, b in enumerate(out)]
         for out, nxt in inner:
             out.append(nxt(n))
         if top and leaf[n].max_abs_coeff() < min(top, sys.float_info.min):  # not where c_n is subnormal
@@ -283,9 +281,7 @@ def solve(spec: PdeSpec, K: int = 6) -> SolveResult:
     k = spec.time_order
     if K < k:
         raise ValueError(f"order K={K} must be >= time order {k}")
-    coeffs: list[HypExpr] = [spec.ic_a]
-    if k == 2:
-        coeffs.append(spec.ic_b)  # type: ignore[arg-type]
+    _, coeffs = _common([spec.ic_a] if k == 1 else [spec.ic_a, spec.ic_b])  # one basis for the solve
     nxt = (coeffs.__getitem__ if isinstance(spec.rhs, Solution)
            else _coefficients(spec.rhs, spec.alpha, coeffs))
     for n in range(K - k + 1):

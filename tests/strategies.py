@@ -165,7 +165,8 @@ def specs(draw):
     """``(spec, K)``: rank-1 ICs on one to three of k*g, k <= 3, or rank-2 ICs on two or three
     of g, sqrt(2)*g and (1 + sqrt(2))*g, each a cosh or a sinh, and a constant or not; half the
     rank-1 draws take both kinds at every k*g, K >= 5 and a product y*y, the dense kernel's
-    inputs.  A shared AST of up to five nodes and degree 3, and K <= 7 within the ceiling."""
+    inputs.  A shared AST of up to five nodes and degree 3, plus y*y_x in half the draws (a
+    product of unequal operands), and K <= 7 within the ceiling."""
     g, rank = draw(st.floats(0.2, 0.6)), draw(st.integers(1, 2))
     full = rank == 1 and draw(st.booleans())
     basis = [g, 2 * g, 3 * g] if rank == 1 else [g, math.sqrt(2.0) * g, (1 + math.sqrt(2.0)) * g]
@@ -182,6 +183,8 @@ def specs(draw):
     time_order = draw(st.integers(1, 2))
     ic_a, ic_b = ic(), ic() if time_order == 2 else None
     rhs = draw(shared_asts(st.integers(1, 3), max_degree=3))
+    if draw(st.booleans()):  # y * y_x: cosh*sinh and sinh*cosh, the sign table's asymmetric entries
+        rhs = Add((rhs, Mul(Solution(), Dx(1, Solution()))))
     if full:
         rhs = Add((rhs, Mul(Solution(), Solution())))
     k_max = max(k for k in range(1, 8) if work_bound(rank, k) <= WORK_CEILING)

@@ -188,6 +188,12 @@ class TestCli:
         assert self.runner.invoke(cli, ["table", "--example", "0"]).exit_code == 2
         assert self.runner.invoke(cli, ["surface", "--example", "5"]).exit_code == 2
 
+    def test_small_frequency_solves(self):
+        # v = 1e-20 puts example 1's frequency at 5e-11: a generator like any other
+        res = self.runner.invoke(cli, ["solve", "--example", "1", "--v", "1e-20", "--at", "1:1"])
+        assert res.exit_code == 0, res.output
+        assert "cosh(5e-11*x)" in res.output
+
     @pytest.mark.parametrize(
         "args",
         [["solve", "--example", "4", "--order", "-3"],
@@ -195,7 +201,6 @@ class TestCli:
          ["solve", "--example", "4", "--alpha", "1.5"],
          ["solve", "--example", "4", "--at", "0:-1"],
          ["solve", "--example", "1", "--v", "-1"],
-         ["solve", "--example", "1", "--v", "1e-20"],
          ["table", "--example", "1", "--order", "-2"],
          ["surface", "--example", "1", "--alpha", "0"],
          ["transform", "--fn", "t", "--n", "1", "--s", "0"],
@@ -217,7 +222,7 @@ class TestCli:
          ["solve", "--example", "4", "--order", "2", "--at", "2000:1e11"],
          ["transform", "--fn", "t^0.5", "--n", "1", "--s", "5e-324"],
          ["transform", "--fn", "t^2", "--n", "2", "--s", "5e-324"]],
-        ids=["order", "alpha-0", "alpha-1.5", "negative-t", "v", "v-in-constant-cell",
+        ids=["order", "alpha-0", "alpha-1.5", "negative-t", "v",
              "table-order", "surface-alpha", "s", "transform-overflow",
              "transform-underflowing-s", "transform-bad-exponent", "table-gamma-overflow",
              "table-lam-overflow", "surface-gamma-overflow", "table-out-missing-dir",

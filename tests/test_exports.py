@@ -53,3 +53,11 @@ def test_readme_quick_start_prints_its_comments(capsys):
     comments = [m.group(1) for m in re.finditer(r"^print\(.*#\s*([^\s,]+)", blocks[0], re.MULTILINE)]
     assert comments == ["1*cosh(x)", "0.0"]
     assert printed[:2] == comments
+
+
+def test_no_frequency_cell_is_left():
+    # frequencies are integer keys over a basis: no 2**-30 cell, its 2**30 scale or the 2**-31 floor
+    cell = re.compile(r"_CELLS|\b2(\.0)?\s*\*\*\s*\(?-?3[01]\b")
+    hits = [f"{p.name}:{n}" for p in sorted(INIT.parent.glob("*.py"))
+            for n, line in enumerate(p.read_text().splitlines(), 1) if cell.search(line)]
+    assert hits == []

@@ -5,7 +5,8 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ararps.hypalg import HypExpr, Kind, _basis, _canonical, _laurent, _laurent_products, _lattice, _products
+from ararps.hypalg import HypExpr, Kind, _basis, _common, _laurent_products, _lattice, _products
+from ararps.zbasis import KEY_HALF, find_basis, pack
 from strategies import hex_terms, hyp_exprs, lattice_exprs, term_map
 
 
@@ -35,26 +36,28 @@ class TestCanonicalForm:
         assert HypExpr.sinh(0.0, 5.0).is_zero()
 
     @pytest.mark.parametrize("freq", [1e-10, -1e-10, 2.0 ** -31])
-    def test_frequency_in_constant_cell_rejected(self, freq):
-        # cell 0 is the constant term: sinh(1e-10*x)*1e10 would vanish
-        with pytest.raises(ValueError):
-            HypExpr.sinh(freq, 1e10)
-        with pytest.raises(ValueError):
-            HypExpr.cosh(freq)
-        for kind in Kind:
-            with pytest.raises(ValueError, match="at most 2"):
-                HypExpr.of([(kind, freq, 1.0)])
-        assert HypExpr.sinh(2.0 ** -30, 1.0).terms == ((Kind.SINH, 2.0 ** -30, 1.0),)
+    def test_small_frequency_is_its_own_generator(self, freq):
+        # no frequency reads as the constant: sinh(1e-10*x)*1e10 is about x
+        e = HypExpr.sinh(freq, 1e10)
+        assert e.terms == ((Kind.SINH, abs(freq), math.copysign(1e10, freq)),)
+        assert e(1.0) == pytest.approx(freq * 1e10, rel=1e-12)
+        assert HypExpr.cosh(freq).terms == ((Kind.COSH, abs(freq), 1.0),)
 
-    @pytest.mark.parametrize("freq", [1e300, -1e300, math.nan])
-    def test_frequency_without_finite_cell_rejected(self, freq):
-        # its cell index freq * 2**30 is not finite
-        named = re.escape(f"{freq!r} has no finite cell")
+    @pytest.mark.parametrize("freq", [1e300, -1e300, math.nan, math.inf])
+    def test_frequency_past_the_range_rejected(self, freq):
+        # below 2**994 every frequency of the key range is finite
+        named = re.escape(f"frequency {freq!r} is not below 2**994")
         with pytest.raises(ValueError, match=named):
             HypExpr.cosh(freq)
         for kind in Kind:
             with pytest.raises(ValueError, match=named):
                 HypExpr.of([(kind, freq, 1.0)])
+        assert HypExpr.cosh(1.6e299).terms == ((Kind.COSH, 1.6e299, 1.0),)
+
+    def test_const_with_a_frequency_rejected(self):
+        with pytest.raises(ValueError, match="CONST term with nonzero frequency"):
+            HypExpr.of([(Kind.CONST, 0.5, 1.0)])
+        assert HypExpr.of([(Kind.CONST, 0.5, 0.0), (Kind.CONST, -0.0, 2.0)]) == HypExpr.const(2.0)
 
     def test_of_reads_plain_int_kinds(self):
         assert HypExpr.of([(1, 1.0, 2.0)]) == HypExpr.cosh(1.0, 2.0)
@@ -64,24 +67,23 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             HypExpr.of([(5, 1.0, 2.0)])
 
-    def test_product_frequency_without_finite_cell_named(self):
-        # each factor passes the gate; their sum 3e299 is past 2**994
-        big = HypExpr.cosh(1.5e299)
-        with pytest.raises(OverflowError, match=r"frequency 3e\+299 of a product"):
-            big * big
+    def test_product_frequency_stays_finite(self):
+        # the largest frequency that passes the gate, squared: its key 2 is still a double
+        f = math.nextafter(2.0 ** 994, 0.0)
+        assert (HypExpr.cosh(f) * HypExpr.cosh(f)).terms == ((Kind.CONST, 0.0, 0.5), (Kind.COSH, 2 * f, 0.5))
 
-    def test_merge_of_close_frequencies(self):
+    def test_close_frequencies_stay_apart(self):
+        # 1e-14 apart is 45 ulps: no relation gives one back from the other within 4
         e = HypExpr.of([(Kind.COSH, 1.0, 1.0), (Kind.COSH, 1.0 + 1e-14, 2.0)])
-        assert len(e.terms) == 1
-        assert e.terms[0][2] == pytest.approx(3.0)
+        assert e.terms == ((Kind.COSH, 1.0, 1.0), (Kind.COSH, 1.0 + 1e-14, 2.0))
 
-    def test_merge_is_transitive_and_order_free(self):
-        # 1.0 and 1.0+1.8e-12 are more than 1e-12 apart but share a cell with
-        # 1.0+0.9e-12; every order gives one term at the first frequency in
-        contribs = [(Kind.COSH, 1.0, 1.0), (Kind.COSH, 1.0 + 0.9e-12, 2.0),
-                    (Kind.COSH, 1.0 + 1.8e-12, 4.0)]
+    def test_canonical_form_is_order_free(self):
+        contribs = [(Kind.COSH, 1.0, 1.0), (Kind.COSH, 1.0 + 0.9e-12, 2.0), (Kind.SINH, -1.0, 4.0),
+                    (Kind.COSH, 1.0 + 1.8e-12, 8.0), (Kind.COSH, -1.0, 16.0), (Kind.CONST, 0.0, 32.0)]
+        want = ((Kind.CONST, 0.0, 32.0), (Kind.COSH, 1.0, 17.0), (Kind.COSH, 1.0 + 0.9e-12, 2.0),
+                (Kind.COSH, 1.0 + 1.8e-12, 8.0), (Kind.SINH, 1.0, -4.0))
         for order in itertools.permutations(contribs):
-            assert HypExpr.of(order).terms == ((Kind.COSH, order[0][1], 7.0),)
+            assert HypExpr.of(order).terms == want
 
     def test_cancellation_residue_pruned(self):
         e = HypExpr.cosh(1.0, 1.0) + HypExpr.cosh(1.0, -1.0) + HypExpr.const(5.0)
@@ -135,6 +137,12 @@ class TestAlgebra:
         assert set(a) == set(b)
         for key in a:
             assert a[key] == pytest.approx(b[key], rel=1e-13, abs=1e-13)
+
+    @settings(max_examples=200)
+    @given(e1=hyp_exprs(), e2=hyp_exprs())
+    def test_mul_commutes_bitwise(self, e1, e2):
+        # each key's coefficient is one fsum of the same contributions, at one frequency
+        assert hex_terms((e1 * e2).terms) == hex_terms((e2 * e1).terms)
 
     @settings(max_examples=50)
     @given(e1=hyp_exprs(), e2=hyp_exprs(), e3=hyp_exprs(), x=st.floats(-2.0, 2.0))
@@ -202,34 +210,30 @@ class TestQueries:
         assert HypExpr.cosh(1.0).render() == "1*cosh(x)"
 
 
+def _hex_keyed(keyed):
+    return [(k, key, c.hex()) for k, key, c in keyed]
+
+
 def _reference_canonical(raw):
-    """One-pass canonical form: fold signs, bucket by (kind, cell), fsum, sort."""
+    """One-pass canonical form of raw (kind, key, coeff) terms: fold signs, bucket by (kind, key), fsum, sort."""
     buckets = {}
-    for kind, freq, coeff in raw:
+    for kind, key, coeff in raw:
         if coeff == 0.0:
             continue
-        if freq < 0.0:
-            freq = -freq
+        if key < 0:
+            key = -key
             if kind is Kind.SINH:
                 coeff = -coeff
-        cell = round(freq * 2.0 ** 30)
-        if cell == 0:
+        if key == 0:
             if kind is Kind.SINH:
                 continue
-            kind, freq = Kind.CONST, 0.0
-        elif kind is Kind.CONST:
-            raise ValueError("CONST term with nonzero frequency")
-        buckets.setdefault((kind, cell), (freq, []))[1].append(coeff)
-    kept = []
-    for (k, _), (f, vs) in sorted(buckets.items()):
-        c = math.fsum(vs)
-        if c != 0.0:
-            kept.append((k, f, c))
-    return tuple(kept)
+            kind = Kind.CONST
+        buckets.setdefault((kind, key), []).append(coeff)
+    return tuple((k, key, c) for (k, key), vs in sorted(buckets.items()) if (c := math.fsum(vs)) != 0.0)
 
 
 def _reference_products(pairs):
-    """Term-by-term product to sum, then the one-pass canonical form."""
+    """Term-by-term product to sum on keys, then the one-pass canonical form."""
     sign = {(Kind.COSH, Kind.COSH): 0.5, (Kind.SINH, Kind.SINH): -0.5,
             (Kind.SINH, Kind.COSH): 0.5, (Kind.COSH, Kind.SINH): -0.5}
     raw = []
@@ -247,12 +251,11 @@ def _reference_products(pairs):
     return _reference_canonical(raw)
 
 
-# negative frequencies, cell 0 (constant term; zero for sinh), one cell
-# holding two frequencies, and the cell next to it
+# negative frequencies, zero (the constant term; zero for sinh), multiples of one
+# generator, a frequency within PSLQ's tolerance of 1.0 but not within ulps, and a
+# second generator
 raw_freq_st = st.sampled_from(
-    [0.0, -0.0, 1e-12, -1e-12, 2.0 ** -31, 0.5, -0.5, 1.0, -1.0, 1.0 + 1e-13, -1.0 - 1e-13,
-     1.0 + 2.0 ** -30, 1.5, -2.5]
-) | st.floats(-3.0, 3.0)
+    [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.0 + 1e-13, -1.0 - 1e-13, 1.5, -2.5, 1.0 / 3.0, math.sqrt(2.0)])
 raw_coeff_st = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-5.0, 5.0)
 raw_kind_st = st.sampled_from([Kind.CONST, Kind.COSH, Kind.SINH])
 
@@ -261,13 +264,15 @@ class TestKernelMatchesReference:
     @settings(max_examples=300)
     @given(raw=st.lists(st.tuples(raw_kind_st, raw_freq_st, raw_coeff_st), max_size=12))
     def test_canonical(self, raw):
-        try:
-            want = _reference_canonical(raw)
-        except ValueError:
+        if any(k is Kind.CONST and f and c for k, f, c in raw):
             with pytest.raises(ValueError):
-                _canonical(raw)
+                HypExpr.of(raw)
             return
-        assert hex_terms(_canonical(raw)) == hex_terms(want)
+        basis, coords = find_basis(tuple(sorted({abs(f) for _, f, c in raw if f and c})))
+        key = lambda f: math.copysign(1, f) * pack(coords[abs(f)]) if f else 0
+        got = HypExpr.of(raw)
+        assert got.basis is basis
+        assert _hex_keyed(got.keyed) == _hex_keyed(_reference_canonical([(k, int(key(f)), c) for k, f, c in raw if c]))
 
     @settings(max_examples=200)
     @given(
@@ -277,26 +282,23 @@ class TestKernelMatchesReference:
         )
     )
     def test_products(self, pairs):
-        assert hex_terms(_products(pairs)) == hex_terms(_reference_products([(a.terms, b.terms, w) for a, b, w in pairs]))
+        _, flat = _common([e for x, y, _ in pairs for e in (x, y)])
+        pairs = [(flat[2 * i], flat[2 * i + 1], w) for i, (_, _, w) in enumerate(pairs)]
+        want = _reference_products([(a.keyed, b.keyed, w) for a, b, w in pairs])
+        assert _hex_keyed(_products(pairs).keyed) == _hex_keyed(want)
 
     @given(e=hyp_exprs(), m=st.integers(1, 5))
     @example(e=HypExpr.cosh(0.5, 5e-324) + HypExpr.sinh(2.0), m=1)  # an underflow to 0 drops
     def test_diff_keeps_canonical_form(self, e, m):
-        # diff merges nothing; the term-wise derivative through _canonical has the same bits
+        # diff merges nothing; the term-wise derivative, made canonical, has the same bits
         swap = {Kind.COSH: Kind.SINH, Kind.SINH: Kind.COSH}
         raw = []
-        for k, f, c in e.terms:
+        for k, key, c in e.keyed:
             if k is not Kind.CONST:
                 for _ in range(m):
-                    c *= f
-                raw.append((swap[k] if m % 2 else k, f, c))
-        assert hex_terms(e.diff(m).terms) == hex_terms(_canonical(raw))
-
-
-def _on_lattice(terms, g, x):
-    """The value at x with every frequency read as its multiple of g, so that the two
-    kernels' frequencies (k*g, or a sum of frequencies in the same cell) agree."""
-    return math.fsum(c * _basis(k, round(f / g) * g, x) for k, f, c in terms)
+                    c *= e.basis.freq(key)
+                raw.append((swap[k] if m % 2 else k, key, c))
+        assert _hex_keyed(e.diff(m).keyed) == _hex_keyed(_reference_canonical(raw))
 
 
 def _envelope(e, x):
@@ -310,15 +312,16 @@ class TestLaurentKernel:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), g=st.floats(0.05, 1.5))
     def test_matches_sparse_kernel(self, data, g):
-        exprs = data.draw(st.lists(lattice_exprs(g), min_size=1, max_size=4))
+        _, exprs = _common(data.draw(st.lists(lattice_exprs(g), min_size=1, max_size=4)))
         weight = st.sampled_from([1.0, 2.0, 0.75, 1.0 / 3.0]) | st.floats(0.01, 50.0)
         pick = st.sampled_from(exprs)
         pairs = data.draw(st.lists(st.tuples(pick, pick, weight), min_size=1, max_size=5))
         dense, sparse = _laurent_products(pairs, g), _products(pairs)
-        assert all(round(f / g) * g == f for _, f, _ in dense)  # frequencies are k*g
+        basis = dense.basis
+        assert len(basis.gens) <= 1 and all(basis.freq(k) == k * basis.gens[0] for _, k, _ in dense.keyed if k)
         for x in (-2.0, -0.7, 0.0, 0.3, 1.6):
             bound = 8 * 2.0 ** -53 * math.fsum(abs(w) * _envelope(a, x) * _envelope(b, x) for a, b, w in pairs)
-            assert abs(_on_lattice(dense, g, x) - _on_lattice(sparse, g, x)) <= bound, x
+            assert abs(dense(x) - sparse(x)) <= bound, x
 
     @pytest.mark.parametrize("g", [0.4, 1.0 / 3.0])
     def test_overflow_named_like_the_sparse_kernel(self, g):
@@ -331,24 +334,14 @@ class TestLaurentKernel:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
-    def test_on_the_lattice_only_in_the_cell_of_a_multiple(self):
-        # 1.0 + 0.6 * 2**-30 is within 2**-30 of 2 * 0.5 but in the next cell, where the
-        # merge keeps it apart; 1.0 + 0.4 * 2**-30 is in the cell of 1.0
-        for eps, on in ((0.6, False), (0.4, True)):
-            e = HypExpr.of([(Kind.COSH, 0.5, 1.0), (Kind.COSH, 1.0 + eps * 2.0 ** -30, 1.0)])
-            assert len(e.terms) == 2
-            assert (_laurent(e, 0.5) is not None) == on
-
     def test_dense_only_on_one_lattice(self):
-        # the same term counts on the lattice, off it, and on it with g below two cells
+        # the same terms on one rank-1 basis, and on two
         full = lambda g, c=0.5: HypExpr.of(
             [(Kind.CONST, 0.0, c)] + [(k, j * g, c) for j in range(1, 5) for k in (Kind.COSH, Kind.SINH)])
         on = [full(0.25)] * 6
         assert _lattice(on, on, 5) == 0.25
         off = [full(0.25), full(0.25 * math.sqrt(2.0))] * 3
         assert _lattice(off, off, 5) is None
-        tiny = [full(2.0 ** -30)] * 6
-        assert _lattice(tiny, tiny, 5) is None
         # enough contributions, but the lists would be ten times the 100 terms
         spread = [HypExpr.of([(k, j * 0.25, 0.5) for j in range(1, 250, 5) for k in (Kind.COSH, Kind.SINH)])] * 2
         assert _lattice(spread, spread, 1) is None
