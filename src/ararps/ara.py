@@ -68,7 +68,7 @@ _LIN_A, _LIN_B = 2.0, 3.0
 
 
 def ara_numeric(f: Callable[[float], float], n: int, s: float) -> float:
-    """Adaptive quadrature of s * int_0^inf t^(n-1) e^(-st) f(t) dt.
+    """Tanh-sinh quadrature of s * int_0^inf t^(n-1) e^(-st) f(t) dt.
 
     With u = s*t it is s^(1-n) * int_0^U u^(n-1) e^(-u) f(u/s) du, split at
     u = 1, so the integrand has the same scale at every s.  The horizon U

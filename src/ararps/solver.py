@@ -204,8 +204,12 @@ def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Call
         lb = math.log2(top) + n * e - math.lgamma(n * alpha + 1.0) / math.log(2.0) if top else 0.0
         if d := -round(lb / n) if abs(lb) > 256.0 else 0:
             e += d
-            for out, _ in inner:
-                out[:] = [b.map_coeffs(lambda v, s=m * d: math.ldexp(v, s)) for m, b in enumerate(out)]
+            try:
+                for out, _ in inner:
+                    out[:] = [b.map_coeffs(lambda v, s=m * d: math.ldexp(v, s)) for m, b in enumerate(out)]
+            except OverflowError:  # an earlier entry leaves the doubles on the shift
+                raise OverflowError(
+                    f"c_{n} leaves the double range of the engine's scaled Taylor coefficients") from None
         for out, nxt in inner:
             out.append(nxt(n))
         if top and leaf[n].max_abs_coeff() < min(top, sys.float_info.min):  # not where c_n is subnormal

@@ -102,6 +102,17 @@ class TestNumericTransform:
         # G_n[c](1) = c: the quadrature's tolerance is relative only
         assert ara_numeric(lambda t: c, n, 1.0) == pytest.approx(c, rel=1e-14, abs=0.0)
 
+    def test_transform_that_cancels_to_zero(self):
+        # G_1[1 - t](1) = 0 exactly: it ends on the floor of a few ulps of the
+        # absolute mass, in no more integrand calls than G_1[1 + t](1) = 2
+        calls = []
+        counted = lambda f: lambda t: calls.append(t) or f(t)
+        assert abs(ara_numeric(counted(lambda t: 1.0 - t), 1, 1.0)) <= 1e-15
+        zero_calls = len(calls)
+        calls.clear()
+        assert ara_numeric(counted(lambda t: 1.0 + t), 1, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert zero_calls <= len(calls)
+
     def test_order_one_of_constant(self):
         # G_1[1] = 1 for every s
         for s in (0.5, 3.0, 50.0):

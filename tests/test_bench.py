@@ -221,7 +221,8 @@ class TestCli:
          ["solve", "--example", "1", "--at", "0:1e300"],
          ["solve", "--example", "4", "--order", "2", "--at", "2000:1e11"],
          ["transform", "--fn", "t^0.5", "--n", "1", "--s", "5e-324"],
-         ["transform", "--fn", "t^2", "--n", "2", "--s", "5e-324"]],
+         ["transform", "--fn", "t^2", "--n", "2", "--s", "5e-324"],
+         ["solve", "--example", "1", "--order", "982"]],
         ids=["order", "alpha-0", "alpha-1.5", "negative-t", "v",
              "table-order", "surface-alpha", "s", "transform-overflow",
              "transform-underflowing-s", "transform-bad-exponent", "table-gamma-overflow",
@@ -229,7 +230,7 @@ class TestCli:
              "surface-out-dir-is-file", "solve-spec-directory", "point-nan-t", "s-nan",
              "s-inf", "solve-lam-nan", "table-gamma-inf", "point-t-overflow",
              "point-value-overflow", "transform-integrand-past-double-range",
-             "transform-closed-form-past-double-range"],
+             "transform-closed-form-past-double-range", "order-past-scaled-range"],
     )
     def test_bad_flag_exit_2(self, args, tmp_path):
         (tmp_path / "file").write_text("")
@@ -239,6 +240,9 @@ class TestCli:
         for big in ("1e200", "1e300", "5e-324"):  # an out-of-range value is named in the message
             if any(big in a for a in args):
                 assert repr(float(big)) in res.output
+        assert "math range error" not in res.output
+        if "982" in args:  # a list shift leaves the doubles: the coefficient is named
+            assert re.search(r"\bc_\d+ leaves the double range", res.output)
 
     @settings(max_examples=100, deadline=None)
     @given(
