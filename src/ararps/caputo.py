@@ -30,7 +30,7 @@ _ULPS = 8.0 * sys.float_info.epsilon
 # relative steps of caputo_numeric's finite differences: the plain derivative
 # at alpha == 1, and the derivative of a Riemann-Liouville integral below it
 _STEP = 1e-5
-_RL_STEP = 1e-4
+_RL_STEP = 3e-5
 
 
 def _node(t: float) -> tuple[float, float]:

@@ -19,8 +19,8 @@ sizes: the sparse ``hypalg._products``, whose frequency keys are one
 ``math.fsum`` each.  Each sum is correctly rounded, independent of the order
 of the contributions, and the same on every platform.  Only ``series_mul``,
 the product of stored c_n, weighs pair (m, j) by ``conv_weight``,
-Gamma((m+j)alpha+1) / (Gamma(m*alpha+1) Gamma(j*alpha+1)) from the 40-digit
-Gamma values of ``special``; the engine shares none of its weights.
+Gamma((m+j)alpha+1) / (Gamma(m*alpha+1) Gamma(j*alpha+1)), the exact ratio of
+``special``'s cached Gamma values rounded once; the engine shares none of its weights.
 
 Evaluation multiplies each term by the cached 1/Gamma(n*alpha+1),
 ``special.rgamma``, so a deep term underflows to zero instead of
@@ -32,15 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import mul
 from typing import Sequence
 
-import mpmath
-
 from .hypalg import HypExpr, _basis, _fsum, _laurent_products, _lattice, _products
-from .special import _gamma40, rgamma, tpow
+from .special import _gamma40, _to_double, rgamma, tpow
 
 __all__ = [
     "FracSeries",
@@ -56,12 +55,11 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def conv_weight(alpha: float, m: int, j: int) -> float:
-    """Gamma((m+j)a+1) / (Gamma(ma+1) Gamma(ja+1)): the ratio of the 40-digit Gamma values,
-    rounded once.  At alpha = 1 it is the binomial C(m+j, m), the same double for
-    m + j <= 75; past that a binomial that ties between two doubles may take the other."""
-    g = lambda k: _gamma40(k * alpha + 1.0)[0]
-    with mpmath.workdps(40):
-        return float(g(m + j) / (g(m) * g(j)))
+    """Gamma((m+j)a+1) / (Gamma(ma+1) Gamma(ja+1)): the exact ratio of special's cached Gamma
+    values, rounded once.  It is exact where they are: at alpha = 1 the binomial C(m+j, m)
+    rounded once, for m + j < 1024."""
+    g = lambda k: Fraction(_gamma40(k * alpha + 1.0)[0])
+    return _to_double(*(g(m + j) / (g(m) * g(j))).as_integer_ratio())
 
 
 @dataclass(frozen=True)

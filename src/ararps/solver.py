@@ -29,14 +29,15 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import partial
+from operator import mul
 from typing import Any, Callable, Sequence, Union
-
-import mpmath
 
 from .fpseries import FracSeries, mul_coeff
 from .hypalg import HypExpr, Kind, _common
-from .special import _gamma40, _mittag_leffler, tpow
+from .special import _context, _gamma40, _mittag_leffler, _to_double, tpow
 
 __all__ = [
     "Solution",
@@ -130,14 +131,15 @@ OperatorAst = Union[Solution, Const, Add, Scale, Mul, PowInt, Dx]
 
 def _times(c: HypExpr, x: float, s: int, inverse: bool) -> HypExpr:
     """c * 2**s * Gamma(x), or / Gamma(x) if ``inverse``: by special's double shifted by s where both
-    are normal, else by each term's exact product with the 40-digit value, rounded once; still canonical."""
+    are normal, else by each term's exact product with the cached Gamma value, rounded once; still canonical."""
     g40, g, rg = _gamma40(x)
     d = rg if inverse else g
     if sys.float_info.min <= d < math.inf and -1021 <= math.frexp(d)[1] + s <= 1024:
         return c.scale(math.ldexp(d, s))
-    with mpmath.workdps(40):
-        f = mpmath.ldexp(1 / g40 if inverse else g40, s)
-    return c.map_coeffs(lambda v: float(mpmath.fmul(v, f, exact=True)))
+    num, den = Fraction(g40).as_integer_ratio()
+    num, den = (den, num) if inverse else (num, den)
+    num, den = num << max(s, 0), den << max(-s, 0)
+    return c.map_coeffs(lambda v: _to_double(*map(mul, v.as_integer_ratio(), (num, den))))
 
 
 def _coefficients(node: OperatorAst, alpha: float, y: Sequence[HypExpr]) -> Callable[[int], HypExpr]:
@@ -396,7 +398,7 @@ def exact_solution(
 
     Examples 1-3 are the waves of ``_wave``.  Below alpha = 1, with
     z = r*t^alpha and E_alpha the Mittag-Leffler function, the wave is
-    A*(e^(-qx)*E_alpha(z)/2 + e^(qx)*E_alpha(-z)/2 - 1), evaluated in mpmath
+    A*(e^(-qx)*E_alpha(z)/2 + e^(qx)*E_alpha(-z)/2 - 1), evaluated at 40 digits
     and rounded once; OverflowError if that is not finite, raised before the
     cancelling E_alpha(-|z|) is summed when the E_alpha(|z|) half alone
     decides it.  Example 4 is sqrt(1.5)*sinh((x - t^alpha)/3), a solution at
@@ -413,15 +415,15 @@ def exact_solution(
     if alpha == 1.0:
         return A * (math.cosh(q * x - r * t) - 1.0)
     z = r * tpow(t, alpha)
-    with mpmath.workdps(40):
-        qx = mpmath.mpf(q) * (x if z >= 0.0 else -x)
+    with localcontext(_context(40)):
+        A, qx = +Decimal(A), Decimal(q) * Decimal(x if z >= 0.0 else -x)  # A at 40 digits: y = 0 at x = z = 0
         # the E_alpha(|z|) half first: E_alpha(-|z|) is in (0, 1] (it is completely
         # monotone; Pollard 1948), so past this bound the other half cannot cancel it
-        half = A * mpmath.exp(-qx) * _mittag_leffler(alpha, abs(z)) / 2
-        if abs(half) > sys.float_info.max + abs(A) * (mpmath.exp(qx) / 2 + 1):
+        half = A * (-qx).exp() * _mittag_leffler(alpha, abs(z)) / 2
+        if abs(half) > Decimal(sys.float_info.max) + abs(A) * (qx.exp() / 2 + 1):
             y = math.inf
         else:
-            y = float(half + A * (mpmath.exp(qx) * _mittag_leffler(alpha, -abs(z)) / 2 - 1))
+            y = float(half + A * (qx.exp() * _mittag_leffler(alpha, -abs(z)) / 2 - 1))
     if not math.isfinite(y):
         raise OverflowError(f"exact_solution: example {example_id} at x={x!r}, t={t!r} overflows")
     return y

@@ -2,7 +2,7 @@
 
 ``find_basis`` takes the distinct positive frequencies of some terms and
 returns generators g_1..g_r with each frequency's integer coordinates over
-them.  ``mpmath.pslq`` finds the integer relations among the frequencies
+them.  PSLQ (``_pslq``) finds the integer relations among the frequencies
 (Ferguson, Bailey & Arno, Math. Comp. 68, 1999) and a Hermite normal form
 turns the rational coordinates into a basis of their Z-span, so 2b and 3b
 give b.  Where a relation does not give every frequency back within a few
@@ -19,8 +19,6 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-import mpmath
-
 __all__ = ["ZBasis", "EMPTY", "FREQ_MAX", "KEY_HALF", "find_basis", "pack", "unpack"]
 
 _BITS = 16  # a key packs each coordinate as a balanced digit of this many bits,
@@ -29,7 +27,8 @@ _ULPS = 4  # a found basis gives every frequency back within this many ulps
 # raw frequencies stay below this, so that a key's frequency is finite while its
 # coordinates are in the key range (up to 2**15 of them, each below 2**15) or its rank-1 key is below 1 << 30
 FREQ_MAX = 2.0 ** 994
-_PSLQ = {"tol": 2.0 ** -40, "maxcoeff": 1000}
+_PREC = 113  # PSLQ's fixed point: a double's 53 bits and 60 more
+_TOL, _MAXCOEFF, _MAXSTEPS = 1 << (_PREC - 40), 1000, 100  # |sum c_i x_i| < 2**-40, every |c_i| < 1000
 
 
 def unpack(key: int, rank: int) -> list[int]:
@@ -71,7 +70,7 @@ def find_basis(freqs: tuple[float, ...]) -> tuple[ZBasis, dict[float, list[int]]
     """A Z-basis of the sorted, distinct, positive freqs and each one's coordinates; cached,
     so the same freqs give the same basis object.
 
-    A frequency that ``mpmath.pslq`` relates to the independent ones before it
+    A frequency that ``_pslq`` relates to the independent ones before it
     gets rational coordinates over them, else joins them.  The Hermite normal
     form of all the rows, over a common denominator, is a basis of their
     Z-span, each generator its exact combination rounded once.  Where a
@@ -83,7 +82,7 @@ def find_basis(freqs: tuple[float, ...]) -> tuple[ZBasis, dict[float, list[int]]
     indep: list[float] = []
     rows: list[tuple[list[int], int]] = []  # numerators over indep, and their denominator
     for f in freqs:
-        rel = mpmath.pslq([v / f for v in indep] + [1.0], **_PSLQ) if indep else None
+        rel = _pslq([v / f for v in indep] + [1.0]) if indep else None
         if rel and rel[-1]:
             d = rel.pop()
             rows.append(([-a if d > 0 else a for a in rel], abs(d)))
@@ -126,3 +125,73 @@ def _solve(span: list[list[int]], m: list[int]) -> list[int]:
         c.append(m[j] // row[j])
         m = [a - c[-1] * b for a, b in zip(m, row)]
     return c
+
+
+def _pslq(xs: list[float]) -> list[int] | None:
+    """Integers c, every |c_i| < 1000, with |sum c_i x_i| < 2**-40, or None: PSLQ in
+    ``_PREC``-bit integer fixed point, step for step as ``mpmath.pslq`` at 53 bits
+    (D. H. Bailey, "The PSLQ Integer Relation Algorithm"), with 1-based rows and columns.
+
+    Rows of H swap whole; the reduction multipliers are integers, so t * v needs no
+    shift; mpmath's matrix A, which nothing reads, is left out.
+    """
+    n, prec, r = len(xs), _PREC, range(1, len(xs) + 1)
+    x = [0] + [(a << prec) // b for a, b in map(float.as_integer_ratio, xs)]  # floor(x * 2**prec)
+    if not (smallest := min(map(abs, x[1:]))):
+        raise ValueError("PSLQ requires a vector of nonzero numbers")
+    if smallest < _TOL // 100:
+        return None
+    g = math.isqrt(((4 << prec) // 3) << prec)
+    B = [[(i == j) << prec for j in range(n + 1)] for i in range(n + 1)]
+    H = [[0] * (n + 1) for _ in range(n + 1)]
+    s = [0] * (n + 1)
+    for k in r:
+        s[k] = math.isqrt(sum(x[j] ** 2 >> prec for j in range(k, n + 1)) << prec)
+    y = [0] + [(v << prec) // s[1] for v in x[1:]]
+    s = [0] + [(v << prec) // s[1] for v in s[1:]]
+    for i in r:
+        if i < n:
+            H[i][i] = (s[i + 1] << prec) // s[i] if s[i] else 0
+        for j in range(1, i):
+            sjj1 = s[j] * s[j + 1]
+            H[i][j] = ((-y[i] * y[j]) << prec) // sjj1 if sjj1 else 0
+
+    def reduce(i: int, j: int) -> None:  # row i -= t * row j, t the nearest integer to H_ij / H_jj
+        t = (((H[i][j] << prec) // H[j][j]) + (1 << (prec - 1))) >> prec
+        y[j] += t * y[i]
+        for k in range(1, j + 1):
+            H[i][k] -= t * H[j][k]
+        for row in B[1:]:
+            row[j] += t * row[i]
+
+    for i in range(2, n + 1):
+        for j in range(i - 1, 0, -1):
+            if H[j][j]:
+                reduce(i, j)
+    for _ in range(_MAXSTEPS):
+        m = max(range(1, n), key=lambda i: ((g ** i * abs(H[i][i])) >> (prec * (i - 1)), -i))
+        y[m], y[m + 1] = y[m + 1], y[m]
+        H[m], H[m + 1] = H[m + 1], H[m]
+        for row in B:
+            row[m], row[m + 1] = row[m + 1], row[m]
+        if m <= n - 2:
+            t0 = math.isqrt(((H[m][m] ** 2 + H[m][m + 1] ** 2) >> prec) << prec)
+            if not t0:  # precision exhausted
+                break
+            t1, t2 = (H[m][m] << prec) // t0, (H[m][m + 1] << prec) // t0
+            for row in H[m:]:
+                row[m], row[m + 1] = (t1 * row[m] + t2 * row[m + 1]) >> prec, (t1 * row[m + 1] - t2 * row[m]) >> prec
+        for i in range(m + 1, n + 1):
+            for j in range(min(i - 1, m + 1), 0, -1):
+                if not H[j][j]:  # precision exhausted
+                    break
+                reduce(i, j)
+        for i in r:
+            if abs(y[i]) < _TOL:
+                vec = [(row[i] + (1 << (prec - 1))) >> prec for row in B[1:]]
+                if max(map(abs, vec)) < _MAXCOEFF:
+                    return vec
+        recnorm = max(abs(h) for row in H for h in row)
+        if not recnorm or ((1 << (2 * prec)) // recnorm >> prec) // 100 >= _MAXCOEFF:
+            break
+    return None

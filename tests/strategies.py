@@ -201,3 +201,17 @@ json_values = st.recursive(
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(_SPEC_KEYS), kids, max_size=4),
     max_leaves=10,
 )
+
+
+@st.composite
+def pslq_vectors(draw):
+    """Vectors as ``zbasis.find_basis`` hands them to PSLQ: up to four earlier frequencies over
+    the next one f, then 1.0.  In half the draws f is an integer combination of them over a
+    small denominator, so a relation exists; the frequencies span six decades."""
+    earlier = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        combo = [draw(st.integers(-12, 12)) for _ in earlier]
+        f = abs(math.fsum(c * v for c, v in zip(combo, earlier))) / draw(st.integers(1, 6))
+    else:
+        f = draw(st.floats(1e-3, 1e3))
+    return [v / f for v in earlier] + [1.0] if f else [1.0, 1.0]

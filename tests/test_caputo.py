@@ -54,7 +54,7 @@ class TestCaputo:
         for t in (0.3, 0.8):
             ref = gamma(p + 1.0) / gamma(p - alpha + 1.0) * t ** (p - alpha)
             got = caputo_numeric(lambda u: u ** p, alpha, t)
-            assert got == pytest.approx(ref, rel=1e-7)
+            assert got == pytest.approx(ref, rel=1e-8)
 
     def test_annihilates_constants(self):
         assert caputo_numeric(lambda t: 3.7, 0.6, 0.5) == pytest.approx(0.0, abs=1e-8)
@@ -105,9 +105,10 @@ class TestQuad:
         assert abs(_quad(lambda u: 1.0 - u, 0.0, 2.0)) <= 1e-15
 
 
-def test_no_scipy_or_numpy():
-    # no module of the package imports them, and importing it loads neither
-    banned = ("scipy", "numpy")
+def test_no_scipy_numpy_or_mpmath():
+    # no module of the package imports them, and importing it loads none of them;
+    # mpmath stays the tests' independent oracle
+    banned = ("scipy", "numpy", "mpmath")
     importers = set()
     for path in (Path(__file__).resolve().parents[1] / "src" / "ararps").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -121,7 +122,7 @@ def test_no_scipy_or_numpy():
                 importers.add(path.name)
     assert importers == set()
     loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, ararps; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"],
+        [sys.executable, "-c", "import sys, ararps; print(sorted({'scipy', 'numpy', 'mpmath'} & set(sys.modules)))"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(ararps.caputo.__file__).parents[1])},
     )

@@ -53,9 +53,9 @@ def _square(coeff):
 
 class TestConvWeight:
     def test_classical_is_binomial(self):
-        # the Gamma ratio at alpha = 1; past m + j = 75 a binomial that ties
-        # between two doubles may round to the other one
-        for n in range(76):
+        # the exact ratio of exact factorials at alpha = 1, rounded once: a binomial that
+        # ties between two doubles, as C(57, 25) = 9929472283517787 does, rounds to even
+        for n in range(171):
             for m in range(n + 1):
                 assert conv_weight(1.0, m, n - m) == float(math.comb(n, m))
 
@@ -84,14 +84,15 @@ class TestConvWeight:
         assert conv_weight(0.5, 0, 7) == 1.0
 
     def test_rounded_to_nearest_like_mpf(self):
-        # the same double as mpf arithmetic under workdps(40) gives; rounding
-        # the 136-bit ratio towards zero instead changes some of these weights
+        # the same double as mpf arithmetic under workdps(60) gives on the cached
+        # Gamma values, each converted explicitly from its Fraction; rounding the
+        # ratio towards zero instead changes some of these weights
         truncated = 0
         for alpha in (0.25, 0.5, 0.75):
             for m in range(25):
                 for j in range(25 - m):
-                    with mpmath.workdps(40):
-                        g = lambda k: _gamma40(k * alpha + 1.0)[0]
+                    with mpmath.workdps(60):
+                        g = lambda k: mpmath.mpf(_gamma40(k * alpha + 1.0)[0].numerator) / _gamma40(k * alpha + 1.0)[0].denominator
                         ratio = g(m + j) / (g(m) * g(j))
                     assert conv_weight(alpha, m, j) == float(ratio)
                     truncated += to_float(ratio._mpf_, rnd=round_down) != float(ratio)

@@ -1,5 +1,7 @@
 import ast
 import math
+import random
+import time
 from pathlib import Path
 
 import mpmath
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ararps.special import (
+    _gamma40,
     _mittag_leffler,
     frac_cosh_series,
     frac_sinh_series,
@@ -15,10 +18,11 @@ from ararps.special import (
     tpow,
 )
 
-# the series arguments n*alpha + 1 (n <= 24) of eight alphas, and k + 1/2
+# n*alpha + 1 for n <= 3000 at six alphas, and 8,200 random x in (0.001, 3000): 20,025 in all
+_RNG = random.Random(47)
 _ARGS = sorted(
-    {n * a + 1.0 for a in (0.25, 0.3, 0.5, 0.6, 0.7, 0.75, 0.8, 1.0) for n in range(25)}
-    | {k + 0.5 for k in range(13)}
+    {n * a + 1.0 for a in (0.25, 0.5, 0.75, 1.0, 1.0 / 3.0, 0.7) for n in range(3001)}
+    | {_RNG.uniform(0.001, 3000.0) for _ in range(8200)}
 )
 
 
@@ -28,11 +32,15 @@ class TestGamma:
             assert gamma(float(n)) == float(math.factorial(n - 1))
 
     def test_correctly_rounded(self):
-        assert len(_ARGS) == 127
+        # against mpmath at 60 digits, an oracle independent of special's decimal Gamma
+        assert len(_ARGS) > 20000
         with mpmath.workdps(60):
             for x in _ARGS:
-                assert gamma(x) == float(mpmath.gamma(x)), x
-                assert rgamma(x) == float(mpmath.rgamma(x)), x
+                want = mpmath.gamma(x)
+                assert _gamma40(x)[1:] == (float(want), float(1 / want)), x
+        assert gamma(171.5) == float(mpmath.gamma(171.5))
+        with pytest.raises(OverflowError):
+            gamma(172.0)
 
     def test_agrees_with_math_gamma(self):
         for x in (0.3, 1.7, 4.123, 33.33):
@@ -56,19 +64,22 @@ class TestGamma:
 
 
 def test_gamma_evaluated_only_in_special():
-    # every Gamma value comes from special's one cached source
-    users = set()
+    # every Gamma value comes from special's one cached source: exact factorials and
+    # Stirling's series (special._stirling), which no other module calls
+    users = {}
     for path in (Path(__file__).resolve().parents[1] / "src" / "ararps").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                name = f"{node.value.id}.{node.attr}"
+                names = [f"{node.value.id}.{node.attr}", node.attr]
             elif isinstance(node, ast.ImportFrom):
-                name = " ".join(f"{node.module}.{a.name}" for a in node.names)
+                names = [f"{node.module}.{a.name}" for a in node.names] + [a.name for a in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
             else:
                 continue
-            if any(g in name.split() for g in ("math.gamma", "math.factorial", "mpmath.gamma")):
-                users.add(path.name)
-    assert users == {"special.py"}
+            for name in {"math.gamma", "math.factorial", "mpmath.gamma", "_stirling"} & set(names):
+                users.setdefault(name, set()).add(path.name)
+    assert users == {"math.factorial": {"special.py"}, "_stirling": {"special.py"}}
 
 
 class TestTpow:
@@ -94,7 +105,8 @@ class TestMittagLeffler:
         with mpmath.workdps(40):
             for alpha, want in ((1.0, mpmath.exp(z)),
                                 (0.5, mpmath.exp(z * z) * mpmath.erfc(-z))):
-                assert abs(_mittag_leffler(alpha, z) - want) <= 1e-22 * max(1, abs(want))
+                got = mpmath.mpf(str(_mittag_leffler(alpha, z)))  # a Decimal, converted explicitly
+                assert abs(got - want) <= 1e-22 * max(1, abs(want))
 
     @pytest.mark.parametrize("alpha,z", [(1e-300, 1.0), (0.05, 2.0), (0.5, math.nan)])
     def test_refused_past_the_term_cap(self, alpha, z):

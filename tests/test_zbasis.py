@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import pytest
+from hypothesis import given, settings
 
 from ararps.hypalg import HypExpr, Kind
-from ararps.zbasis import KEY_HALF, find_basis, pack, unpack
-from strategies import term_map
+from ararps.zbasis import KEY_HALF, _pslq, find_basis, pack, unpack
+from strategies import pslq_vectors, term_map
 
 
 class TestBasis:
@@ -43,6 +45,20 @@ class TestBasis:
             far * e
 
 
+
+@settings(max_examples=300, deadline=None)
+@given(pslq_vectors())
+def test_pslq_matches_mpmath(x):
+    # the integer fixed-point port against mpmath's own PSLQ at its default 53 bits,
+    # with find_basis's tolerance and coefficient bound
+    with mpmath.workprec(53):
+        try:
+            want = mpmath.pslq(x, tol=2.0 ** -40, maxcoeff=1000)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                _pslq(x)
+            return
+    assert _pslq(x) == want
 
 
 @pytest.mark.parametrize("coords", [[0], [5], [-7], [3, -2], [-KEY_HALF + 1, KEY_HALF - 1], [1, 0, -1], [0, 0, 4]])
